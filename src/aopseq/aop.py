@@ -80,11 +80,12 @@ def _cross_zero_at(u: tuple[int, ...], v: tuple[int, ...], tau: int, order: int)
 def _condition_1_witness(
     cols: list[tuple[int, ...]], rows: int, order: int
 ) -> Optional[tuple[int, int, int]]:
+    # theta_{v,u}(-tau) = conj(theta_{u,v}(tau)): a failure at a pair with
+    # j0 > j1 is mirrored by one at (j1, j0, -tau mod R), which comes earlier
+    # in lexicographic order, so scanning only j0 < j1 finds the same witness.
     C = len(cols)
     for j0 in range(C):
-        for j1 in range(C):
-            if j0 == j1:
-                continue
+        for j1 in range(j0 + 1, C):
             u, v = cols[j0], cols[j1]
             for tau in range(rows):
                 if not _cross_zero_at(u, v, tau, order):
@@ -108,7 +109,9 @@ def _condition_2_witness(
 def check_condition_1(array: PhaseArray) -> AopVerdict:
     """Mutual orthogonality of all distinct column pairs at all shifts.
 
-    Scans (j0, j1, tau) lexicographically; a single column holds vacuously.
+    Scans (j0, j1, tau) lexicographically over j0 < j1, which finds the same
+    first witness as a scan over all j0 != j1; a single column holds
+    vacuously.
     """
     witness = _condition_1_witness(array.columns(), array.rows, array.order)
     if witness is None:

@@ -144,7 +144,10 @@ def _parse_kv(text: str) -> dict[str, str]:
         if ":" not in line:
             raise CliInputError(f"line {lineno} is not a 'key: value' field: {raw!r}")
         key, value = line.split(":", 1)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise CliInputError(f"line {lineno} repeats field {key!r}")
+        fields[key] = value.strip()
     return fields
 
 
@@ -338,14 +341,24 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"{report.wall_time_s:.2f}s with {spec.workers} worker(s)",
         file=sys.stderr,
     )
+    status = EXIT_OK
+    if spec.audit:
+        print(
+            f"audit: checked {report.audit_checked}, "
+            f"disagreements {report.audit_disagreements}",
+            file=sys.stderr,
+        )
+        if report.audit_disagreements > 0:
+            print("audit disagreement: exact and float zero tests differ", file=sys.stderr)
+            status = EXIT_INVARIANT_VIOLATION
     if report.bound_violated:
         print(
             f"bound violation: hit of length {report.max_hit_length} "
             f"exceeds {report.bound_limit}",
             file=sys.stderr,
         )
-        return EXIT_INVARIANT_VIOLATION
-    return EXIT_OK
+        status = EXIT_INVARIANT_VIOLATION
+    return status
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:

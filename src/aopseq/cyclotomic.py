@@ -104,7 +104,8 @@ class CyclotomicPolynomial:
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # Exact division of integer polynomials; denominator must be monic.
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise AssertionError(f"divisor {den} is not monic")
     num = list(num)
     deg_d = len(den) - 1
     quot = [0] * max(len(num) - deg_d, 1)
@@ -134,7 +135,8 @@ def cyclotomic_polynomial(order: int) -> CyclotomicPolynomial:
         if order % d == 0:
             phi_d = list(cyclotomic_polynomial(d).coefficients)
             poly, rem = _poly_divmod(poly, phi_d)
-            assert rem == [0], f"non-exact division for order {order} by {d}"
+            if rem != [0]:
+                raise AssertionError(f"non-exact division for order {order} by {d}")
     return CyclotomicPolynomial(order, tuple(poly))
 
 

@@ -15,12 +15,21 @@ count) enters the canonical serialized report.
 
 Index-function sweeps exploit that generated entries depend only on the cell
 residues mod the period: each candidate is collapsed to its period x period
-tile, verdicts are memoized per tile, and column counts beyond the period are
-rejected outright because columns j and j + period coincide (a column cannot
-be orthogonal to its own duplicate at shift 0).  One candidate in a hundred
-is re-checked the slow way: the array is regenerated directly from the index
-function, the duplicate columns are compared entrywise, and the pruned
-combinations are re-run through the full check.
+tile, and column counts beyond the period are rejected outright because
+columns j and j + period coincide (a column cannot be orthogonal to its own
+duplicate at shift 0).  Verdicts are memoized per column-phase class of the
+tile: every column is shifted mod the alphabet order so that its row-0 entry
+is 0.  A constant phase on a column multiplies its cross-correlations by a
+unit and leaves its autocorrelation unchanged, so both AOP conditions keep
+their truth values for every (R, C).  The memo lives for the whole sweep in
+each process (the serial loop or one pool worker) and never across sweeps.
+
+One candidate in a hundred is re-checked the slow way: the array is
+regenerated directly from the index function, the duplicate columns are
+compared entrywise, and the pruned combinations are re-run through the full
+check.  The sampled candidate's own raw tile, once per distinct raw tile per
+sweep, also gets its verdicts recomputed and compared with its class's
+verdicts, which keeps the quotient itself under a direct check.
 """
 
 from __future__ import annotations
@@ -310,6 +319,21 @@ def _vector_collapses(spec: SearchSpec, vector: list[int]) -> bool:
     return True
 
 
+class _SweepMemo:
+    """Tile verdicts of one sweep in one process, keyed by column-phase class,
+    and the raw tiles whose verdicts were already cross-checked against their
+    class."""
+
+    def __init__(self) -> None:
+        self.verdicts: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        self.cross_checked: set[tuple[int, ...]] = set()
+
+
+def _tile_columns(flat, period: int) -> list[tuple[int, ...]]:
+    # `flat` holds the tile row-major, entry (i, j) at i * period + j
+    return [tuple(flat[j::period]) for j in range(period)]
+
+
 def _tile_verdicts(
     tile_cols: list[tuple[int, ...]],
     period: int,
@@ -399,7 +423,9 @@ def _spot_verify(
     return checked
 
 
-def _index_function_block(spec: SearchSpec, start: int, stop: int) -> dict:
+def _index_function_block(
+    spec: SearchSpec, start: int, stop: int, memo: _SweepMemo
+) -> dict:
     m = spec.coeff_modulus
     order = spec.alphabet_order
     decoder = _VectorDecoder(spec)
@@ -407,7 +433,6 @@ def _index_function_block(spec: SearchSpec, start: int, stop: int) -> dict:
     is_floored = spec.family == "floored"
     n = spec.n
     k_sq = spec.k * spec.k if is_floored else 0
-    memo: dict[tuple, list[tuple[int, int]]] = {}
     hits: list[dict] = []
     histogram: dict[str, int] = {}
     tested = 0
@@ -433,14 +458,26 @@ def _index_function_block(spec: SearchSpec, start: int, stop: int) -> dict:
                     v += c * row[t]
             v %= m
             flat.append(v // n if is_floored else v)
-        tile_cols = [tuple(flat[i * m + j] for i in range(m)) for j in range(m)]
-        key = tuple(flat)
-        verdicts = memo.get(key)
+        # the column-phase class: column j shifted by its row-0 entry flat[j]
+        key = tuple([(v - b) % order for v, b in zip(flat, flat[:m] * m)])
+        verdicts = memo.verdicts.get(key)
         if verdicts is None:
-            verdicts = _tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range)
-            memo[key] = verdicts
+            verdicts = _tile_verdicts(
+                _tile_columns(key, m), m, order, spec.r_range, spec.c_range
+            )
+            memo.verdicts[key] = verdicts
         if idx % SPOT_SAMPLE_STRIDE == 0:
+            tile_cols = _tile_columns(flat, m)
             spot_checks += _spot_verify(spec, vector, tile_cols, verdicts)
+            raw = tuple(flat)
+            if raw != key and raw not in memo.cross_checked:
+                memo.cross_checked.add(raw)
+                direct = _tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range)
+                if direct != verdicts:
+                    raise AssertionError(
+                        f"tile of vector {vector} has verdicts {direct}, "
+                        f"its column-phase class {verdicts}"
+                    )
         if not verdicts:
             continue
         collapses = _vector_collapses(spec, vector) if is_floored else False
@@ -560,21 +597,18 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
     }
 
 
-_BLOCK_RUNNERS = {
-    "poly": _index_function_block,
-    "floored": _index_function_block,
-    "raw-phase": _raw_phase_block,
-    "raw-quaternion": _raw_quaternion_block,
-}
-
-
-def _run_block(spec: SearchSpec, block: tuple[int, int]) -> dict:
+def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> dict:
     was_enabled = audit.enabled
     before = (audit.checked, audit.disagreements)
     if spec.audit and not was_enabled:
         audit.enabled = True
     try:
-        result = _BLOCK_RUNNERS[spec.family](spec, block[0], block[1])
+        if spec.family in ("poly", "floored"):
+            result = _index_function_block(spec, block[0], block[1], memo)
+        elif spec.family == "raw-phase":
+            result = _raw_phase_block(spec, block[0], block[1])
+        else:
+            result = _raw_quaternion_block(spec, block[0], block[1])
     finally:
         if spec.audit and not was_enabled:
             audit.enabled = False
@@ -589,8 +623,18 @@ def _run_block(spec: SearchSpec, block: tuple[int, int]) -> dict:
     return result
 
 
-def _run_block_star(args: tuple[SearchSpec, tuple[int, int]]) -> dict:
-    return _run_block(*args)
+# Each pool worker's memo, made fresh by `_start_worker` when the pool of one
+# `run_search` call starts; the parent process never sets it.
+_worker_memo: Optional[_SweepMemo] = None
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = _SweepMemo()
+
+
+def _run_block_in_worker(args: tuple[SearchSpec, tuple[int, int]]) -> dict:
+    return _run_block(*args, _worker_memo)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
@@ -605,10 +649,13 @@ def run_search(spec: SearchSpec) -> SearchReport:
         raise BudgetExceeded(total, spec.budget)
     blocks = _blocks(total)
     if spec.workers <= 1 or len(blocks) <= 1:
-        results = [_run_block(spec, b) for b in blocks]
+        memo = _SweepMemo()
+        results = [_run_block(spec, b, memo) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_run_block_star, [(spec, b) for b in blocks]))
+        with ProcessPoolExecutor(
+            max_workers=spec.workers, initializer=_start_worker
+        ) as pool:
+            results = list(pool.map(_run_block_in_worker, [(spec, b) for b in blocks]))
     hits: list[dict] = []
     histogram: dict[str, int] = {}
     conv_counts: dict[str, int] = {}

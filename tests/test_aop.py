@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from aopseq.aop import (
     aop_implies_perfect,
     check_aop,
@@ -118,3 +121,51 @@ def test_perfect_sequence_examples():
     assert not is_perfect_sequence(PhaseSequence(2, (0, 1, 0, 1)))
     # any length-1 sequence is vacuously perfect
     assert is_perfect_sequence(PhaseSequence(5, (3,)))
+
+
+# Orders 2-16, so composite orders 6, 10, 12 and 15 are covered.
+ORDERS = list(range(2, 17))
+
+
+@st.composite
+def near_frank_arrays(draw):
+    """Random arrays, and Frank arrays of a divisor of the order (embedded
+    by scaling exponents) with random column phases and a few entries
+    changed, so that witnesses land away from (0, 1, 0)."""
+    order = draw(st.sampled_from(ORDERS))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 6))
+        cols = draw(st.integers(1, 6))
+        exps = draw(st.lists(st.integers(0, order - 1), min_size=rows * cols,
+                             max_size=rows * cols))
+        return PhaseArray(order, rows, cols, tuple(exps))
+    size = draw(st.sampled_from([d for d in range(2, 9) if order % d == 0] or [order]))
+    step = order // size
+    phases = draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size))
+    exps = [(i * j * step + phases[j]) % order for i in range(size) for j in range(size)]
+    for _ in range(draw(st.integers(0, 2))):
+        cell = draw(st.integers(0, size * size - 1))
+        exps[cell] = draw(st.integers(0, order - 1))
+    return PhaseArray(order, size, size, tuple(exps))
+
+
+def _full_scan_condition_1_witness(array):
+    # reference: every ordered pair j0 != j1, independent correlation kernel
+    seqs = [PhaseSequence(array.order, c) for c in array.columns()]
+    for j0 in range(array.cols):
+        for j1 in range(array.cols):
+            if j0 == j1:
+                continue
+            profile = crosscorrelate(seqs[j0], seqs[j1])
+            for tau in range(array.rows):
+                if not profile.value(tau).is_zero():
+                    return (j0, j1, tau)
+    return None
+
+
+@given(near_frank_arrays())
+@settings(max_examples=300, deadline=None)
+def test_condition_1_witness_matches_full_scan(arr):
+    verdict = check_condition_1(arr)
+    assert verdict.witness == _full_scan_condition_1_witness(arr)
+    assert verdict.holds == (verdict.witness is None)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from aopseq import cli
+from aopseq.cyclotomic import ConcordanceAudit
 from aopseq.search import SearchSpec, run_search
 from aopseq.seqmodel import PhaseArray, PhaseSequence
 
@@ -92,6 +93,17 @@ def test_malformed_files_exit_two(tmp_path):
         "format: phase-sequence/1\norder: 2\nlength: 2\nexponents: 0,x\n"
     )
     assert cli.main(["verify", str(bad_ints)]) == 2
+
+
+def test_duplicate_field_rejected(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text(
+        "format: phase-sequence/1\norder: 2\nlength: 2\norder: 3\nexponents: 0,1\n"
+    )
+    with pytest.raises(cli.CliInputError, match="'order'"):
+        cli.read_object(path)
+    assert cli.main(["verify", str(path)]) == 2
+    assert "'order'" in capsys.readouterr().err
 
 
 def test_verify_divisor_mismatch_exits_two(tmp_path):
@@ -219,3 +231,31 @@ def test_comment_and_blank_lines_tolerated(tmp_path):
         "length: 4\nexponents: 0,0,0,1\n"
     )
     assert cli.main(["verify", str(path)]) == 0
+
+
+SMALL_AUDITED_SEARCH = [
+    "search", "--family", "poly", "--n", "2", "--deg-x", "1", "--deg-y", "1",
+    "--max-r", "4", "--max-c", "4", "--audit",
+]
+
+
+def test_search_cli_prints_audit_tallies(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(SMALL_AUDITED_SEARCH + ["--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "audit: checked " in err
+    assert "disagreements 0" in err
+
+
+def test_search_cli_audit_disagreement_exits_three(tmp_path, monkeypatch, capsys):
+    def disagreeing_record(self, exact_zero, coeffs, order):
+        self.checked += 1
+        self.disagreements += 1
+
+    monkeypatch.setattr(ConcordanceAudit, "record", disagreeing_record)
+    out = tmp_path / "r.json"
+    assert cli.main(SMALL_AUDITED_SEARCH + ["--out", str(out)]) == 3
+    assert out.exists()  # the report is still written for inspection
+    err = capsys.readouterr().err
+    assert "audit disagreement" in err
+    assert "disagreements 0" not in err

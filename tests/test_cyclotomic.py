@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aopseq.cyclotomic import (
     FLOAT_ZERO_TOLERANCE,
     CyclotomicInt,
+    _poly_divmod,
     audit,
     counts_is_zero,
     cyclotomic_polynomial,
@@ -130,6 +131,12 @@ def test_order_mismatch_rejected():
         CyclotomicInt.one(4) + CyclotomicInt.one(6)
     with pytest.raises(ValueError):
         CyclotomicInt(4, (1, 2, 3))
+
+
+def test_non_monic_divisor_raises():
+    # an explicit raise, so the check holds under python -O as well
+    with pytest.raises(AssertionError, match="not monic"):
+        _poly_divmod([1, 0, 1], [1, 2])
 
 
 def test_concordance_audit_clean():

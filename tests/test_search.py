@@ -4,14 +4,18 @@ worker counts, budget refusal, filters, and the raw families."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aopseq.aop import check_aop
 from aopseq.indexfn import PolyIndex, generate_poly_array
 from aopseq.quaternion import QuaternionSequence, quat_is_perfect
+from aopseq import search
 from aopseq.search import (
     BudgetExceeded,
     SearchSpec,
     _collapse_leading_tuples,
+    _tile_verdicts,
     enumerate_floored,
     enumerate_poly,
     enumerate_raw,
@@ -267,3 +271,57 @@ def test_hit_limit_caps_list_not_tallies():
     assert len(report.hits) == 10
     assert report.hits_total == 512
     assert report.hit_histogram == {"1x1": 512}
+
+
+@st.composite
+def tiles_with_column_phases(draw):
+    """A tile (random, or a Frank tile of a divisor of the order with its
+    exponents scaled up, which has hits) and one phase offset per column."""
+    order = draw(st.integers(2, 16))
+    period = draw(st.integers(1, 6))
+    if order % period == 0 and draw(st.booleans()):
+        step = order // period
+        cols = [tuple(i * j * step % order for i in range(period)) for j in range(period)]
+    else:
+        cols = [
+            tuple(draw(st.lists(st.integers(0, order - 1), min_size=period,
+                                max_size=period)))
+            for _ in range(period)
+        ]
+    phases = draw(st.lists(st.integers(0, order - 1), min_size=period,
+                           max_size=period))
+    r_hi = draw(st.integers(1, 2 * period))
+    return order, period, cols, phases, r_hi
+
+
+@given(tiles_with_column_phases())
+@settings(max_examples=200, deadline=None)
+def test_tile_verdicts_invariant_under_column_phases(case):
+    """The search memo keys verdicts by column-phase class; this is the
+    fact that makes that sound, for orders 2-16 (6, 10, 12, 15 included)."""
+    order, period, cols, phases, r_hi = case
+    shifted = [tuple((e + p) % order for e in col) for col, p in zip(cols, phases)]
+    ranges = ((1, r_hi), (1, period + 1))
+    assert _tile_verdicts(shifted, period, order, *ranges) == _tile_verdicts(
+        cols, period, order, *ranges
+    )
+
+
+def test_no_verdict_memo_carries_across_sweeps(monkeypatch):
+    calls = []
+    real = search._aop_holds_columns
+
+    def counting(cols, rows, order):
+        calls.append(rows)
+        return real(cols, rows, order)
+
+    monkeypatch.setattr(search, "_aop_holds_columns", counting)
+    spec = SearchSpec(family="poly", n=2, deg_x=2, deg_y=2,
+                      r_range=(1, 4), c_range=(1, 4))
+    first = run_search(spec)
+    first_calls = len(calls)
+    calls.clear()
+    second = run_search(spec)
+    assert first_calls > 0
+    assert len(calls) == first_calls
+    assert second.canonical_json() == first.canonical_json()
