@@ -30,10 +30,32 @@ compared entrywise, and the pruned combinations are re-run through the full
 check.  The sampled candidate's own raw tile, once per distinct raw tile per
 sweep, also gets its verdicts recomputed and compared with its class's
 verdicts, which keeps the quotient itself under a direct check.
+
+Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
+multiplication keeps a sequence perfect under both conventions:
+
+    right:  (u s_i) conj(u s_{i+tau}) = u s_i conj(s_{i+tau}) conj(u),
+            so theta'(tau) = u theta(tau) conj(u), zero iff theta(tau) is;
+    left:   conj(u s_i) (u s_{i+tau}) = conj(s_i) s_{i+tau},
+            so theta'(tau) = theta(tau).
+
+Q8 acts freely, so each orbit of eight holds exactly one sequence that
+starts with 1.  Blocks cut the 8^(L-1) such representatives; every survivor
+of the funnel expands to its eight members u*s, and every member that
+passes the index filter goes through the direct quaternion check in both
+conventions.  Hits are merged by global index.  The funnel itself packs
+each unit's 4-vector into one balanced base-(2L+1) integer, so a shift's
+correlation is one table gather and one row sum, zero exactly when all four
+component sums are zero.  One raw index in a hundred, regardless of
+orbit, also runs through the funnel without the quotient; those survivors
+must be exactly the expanded members at the sampled indices, or the sweep
+raises.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 import sys
@@ -59,9 +81,6 @@ __all__ = [
     "SearchReport",
     "BudgetExceeded",
     "run_search",
-    "enumerate_poly",
-    "enumerate_floored",
-    "enumerate_raw",
 ]
 
 FAMILIES = ("poly", "floored", "raw-phase", "raw-quaternion")
@@ -217,38 +236,48 @@ def _dim_values(rng: tuple[int, int]) -> range:
     return range(rng[0], rng[1] + 1)
 
 
+def _leading_vanishes(coeffs: tuple[int, ...], m: int, n: int) -> bool:
+    """Whether the quadratic-row coefficient A(j) = sum_b coeffs[b] j^b,
+    taken mod m, vanishes mod n at every residue j in [0, m); true for an
+    empty tuple (no quadratic row)."""
+    for j in range(m):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * j + c) % m
+        if acc % n != 0:
+            return False
+    return True
+
+
 def _collapse_leading_tuples(m: int, n: int, width: int) -> list[tuple[int, ...]]:
     """All vectors of quadratic-row coefficients whose induced A(j) vanishes
     mod n at every j in [0, m).  Lexicographically ordered."""
-    valid = []
-    for idx in range(m**width):
-        tup = tuple(_digits(idx, m, width))
-        ok = True
-        for j in range(m):
-            acc = 0
-            for c in reversed(tup):
-                acc = (acc * j + c) % m
-            if acc % n != 0:
-                ok = False
-                break
-        if ok:
-            valid.append(tup)
-    return valid
+    return [
+        tup
+        for tup in itertools.product(range(m), repeat=width)
+        if _leading_vanishes(tup, m, n)
+    ]
 
 
-def _index_space_size(spec: SearchSpec) -> int:
+def _collapse_suffixes(spec: SearchSpec) -> Optional[list[tuple[int, ...]]]:
+    """The constrained suffixes of a collapse-restricted sweep with a
+    quadratic row, computed once per sweep; None for any other sweep."""
+    if spec.restriction != "collapse" or spec.deg_x < 2:
+        return None
+    return _collapse_leading_tuples(spec.coeff_modulus, spec.n, spec.deg_y + 1)
+
+
+def _index_space_size(
+    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
+) -> int:
     if spec.family == "raw-phase":
         return spec.n**spec.length
     if spec.family == "raw-quaternion":
         return 8**spec.length
     m = spec.coeff_modulus
-    if spec.restriction == "collapse":
-        if spec.deg_x < 2:
-            return m**spec.vector_width
-        lead_width = spec.deg_y + 1
-        free = spec.vector_width - lead_width
-        return (m**free) * len(_collapse_leading_tuples(m, spec.n, lead_width))
-    return m**spec.vector_width
+    if suffixes is None:
+        return m**spec.vector_width
+    return m ** (spec.vector_width - spec.deg_y - 1) * len(suffixes)
 
 
 def _blocks(total: int) -> list[tuple[int, int]]:
@@ -262,14 +291,14 @@ class _VectorDecoder:
     """Maps a candidate index to its coefficient vector, honoring the
     collapse restriction's split into free prefix and constrained suffix."""
 
-    def __init__(self, spec: SearchSpec) -> None:
+    def __init__(
+        self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
+    ) -> None:
         self.m = spec.coeff_modulus
         self.width = spec.vector_width
-        self.valid: Optional[list[tuple[int, ...]]] = None
-        if spec.restriction == "collapse" and spec.deg_x == 2:
-            lead_width = spec.deg_y + 1
-            self.valid = _collapse_leading_tuples(self.m, spec.n, lead_width)
-            self.free_width = self.width - lead_width
+        self.valid = suffixes
+        if suffixes is not None:
+            self.free_width = self.width - (spec.deg_y + 1)
 
     def __call__(self, idx: int) -> list[int]:
         if self.valid is None:
@@ -293,30 +322,6 @@ def _monomial_rows(spec: SearchSpec) -> list[list[int]]:
                 ]
             )
     return rows
-
-
-def _leading_positions(spec: SearchSpec) -> list[int]:
-    if spec.deg_x < 2:
-        return []
-    width = spec.deg_y + 1
-    return list(range(2 * width, 3 * width))
-
-
-def _vector_collapses(spec: SearchSpec, vector: list[int]) -> bool:
-    """Whether the quadratic-row coefficient A(j) vanishes mod n for every
-    residue j; trivially true when there is no quadratic row."""
-    positions = _leading_positions(spec)
-    if not positions:
-        return True
-    m = spec.coeff_modulus
-    coeffs = [vector[t] for t in positions]
-    for j in range(m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * j + c) % m
-        if acc % spec.n != 0:
-            return False
-    return True
 
 
 class _SweepMemo:
@@ -424,15 +429,23 @@ def _spot_verify(
 
 
 def _index_function_block(
-    spec: SearchSpec, start: int, stop: int, memo: _SweepMemo
+    spec: SearchSpec,
+    start: int,
+    stop: int,
+    memo: _SweepMemo,
+    suffixes: Optional[list[tuple[int, ...]]],
 ) -> dict:
     m = spec.coeff_modulus
     order = spec.alphabet_order
-    decoder = _VectorDecoder(spec)
+    decoder = _VectorDecoder(spec, suffixes)
     mono = _monomial_rows(spec)
     is_floored = spec.family == "floored"
     n = spec.n
     k_sq = spec.k * spec.k if is_floored else 0
+    # the quadratic-row coefficients, which alone decide the collapse flag
+    lead_width = spec.deg_y + 1 if spec.deg_x >= 2 else 0
+    lead = slice(2 * lead_width, 3 * lead_width)
+    collapse_of: dict[tuple[int, ...], bool] = {}
     hits: list[dict] = []
     histogram: dict[str, int] = {}
     tested = 0
@@ -480,7 +493,11 @@ def _index_function_block(
                     )
         if not verdicts:
             continue
-        collapses = _vector_collapses(spec, vector) if is_floored else False
+        if is_floored:
+            coeffs = tuple(vector[lead])
+            collapses = collapse_of.get(coeffs)
+            if collapses is None:
+                collapses = collapse_of[coeffs] = _leading_vanishes(coeffs, m, n)
         for R, C in verdicts:
             hits_total += 1
             length = R * C
@@ -540,71 +557,163 @@ def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
     }
 
 
-def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
+def _unit_digits(indices, length: int):
+    """The (N, length) uint8 array of base-8 digits (unit indices) of each
+    raw-quaternion index, most significant first."""
     import numpy as np
 
-    L = spec.length
-    mul = np.asarray(MUL, dtype=np.int8)
-    conj = np.asarray(CONJ, dtype=np.int8)
-    vec = np.asarray(VEC, dtype=np.int8)
-    idxs = np.arange(start, stop, dtype=np.int64)
-    if spec.filter_mod > 1:
-        idxs = idxs[idxs % spec.filter_mod == spec.filter_residue]
-    tested = int(idxs.size)
-    pows = 8 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    seqs = ((idxs[:, None] // pows[None, :]) % 8).astype(np.int8)
-    survivors: dict[str, set[int]] = {}
-    for convention in ("right", "left"):
-        alive = idxs
-        table = seqs
-        for tau in range(1, L):
-            shifted = np.roll(table, -tau, axis=1)
-            if convention == "right":
-                prod = mul[table, conj[shifted]]
-            else:
-                prod = mul[conj[table], shifted]
-            keep = (vec[prod].sum(axis=1) == 0).all(axis=1)
-            alive = alive[keep]
-            table = table[keep]
-            if alive.size == 0:
-                break
-        survivors[convention] = set(int(g) for g in alive)
-    hits: list[dict] = []
-    counts = {"right": 0, "left": 0}
-    hits_total = 0
-    for g in sorted(survivors["right"] | survivors["left"]):
-        seq = QuaternionSequence(tuple(_digits(g, 8, L)))
-        conventions = [c for c in ("right", "left") if quat_is_perfect(seq, c)]
-        if set(conventions) != {c for c in ("right", "left") if g in survivors[c]}:
-            raise AssertionError(
-                f"table funnel and direct verification disagree on {seq.symbols()}"
-            )
-        if not conventions:
-            raise AssertionError(f"funnel survivor {seq.symbols()} is not perfect")
-        for c in conventions:
-            counts[c] += 1
-        hits_total += 1
-        if len(hits) < spec.hit_limit:
-            hits.append({"symbols": list(seq.symbols()), "conventions": conventions})
+    shifts = 3 * np.arange(length - 1, -1, -1, dtype=np.int64)
+    return ((indices[:, None] >> shifts[None, :]) & 7).astype(np.uint8)
+
+
+def _packed_weight_tables(length: int) -> dict:
+    """Per convention, the packed weight of the product for each unit pair
+    (a, b) at entry (a << 3) | b.
+
+    A unit's 4-vector (w, x, y, z) packs into w + x B + y B^2 + z B^3 with
+    B = 2 length + 1.  A sum of at most `length` weights has component sums
+    in [-length, length], which balanced base B represents uniquely, so the
+    packed sum is 0 exactly when all four component sums are.  Every partial
+    sum is at most length (B^4 - 1) / (B - 1) = (B^4 - 1) / 2 in magnitude,
+    which fixes the dtype.
+    """
+    import numpy as np
+
+    base = 2 * length + 1
+    bound = (base**4 - 1) // 2
+    dtype = next(
+        (t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound), None
+    )
+    if dtype is None:
+        raise ValueError(f"packed quaternion weights overflow int64 at length {length}")
+    weight = [sum(c * base**axis for axis, c in enumerate(VEC[u])) for u in range(8)]
+    pairs = [(a, b) for a in range(8) for b in range(8)]
     return {
-        "hits": hits,
-        "tested": tested,
-        "hits_total": hits_total,
-        "histogram": {},
-        "max_hit_length": L if hits_total else 0,
-        "spot_checks": 0,
-        "convention_counts": counts,
+        "right": np.array([weight[MUL[a][CONJ[b]]] for a, b in pairs], dtype=dtype),
+        "left": np.array([weight[MUL[CONJ[a]][b]] for a, b in pairs], dtype=dtype),
     }
 
 
-def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> dict:
+def _quat_funnel(seqs, tables: dict) -> dict:
+    """Row numbers of `seqs` (unit indices, one sequence per row) whose
+    off-peak autocorrelation vanishes, per convention."""
+    import numpy as np
+
+    length = seqs.shape[1]
+    all_high = seqs << 3
+    all_doubled = np.concatenate([seqs, seqs], axis=1)
+    out = {}
+    for convention, table in tables.items():
+        alive = np.arange(len(seqs))
+        high, doubled = all_high, all_doubled
+        for tau in range(1, length):
+            if alive.size == 0:
+                break
+            pair = high | doubled[:, tau : tau + length]
+            keep = table[pair].sum(axis=1, dtype=table.dtype) == 0
+            alive = alive[keep]
+            high = high[keep]
+            doubled = doubled[keep]
+        out[convention] = alive
+    return out
+
+
+def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
+    """Orbit representatives start..stop-1, representative r being the
+    sequence with base-8 digits r (its first unit is 1 since r < 8^(L-1)),
+    and the sampled raw indices 8 start..8 stop-1."""
+    import numpy as np
+
+    L = spec.length
+    mod, residue = spec.filter_mod, spec.filter_residue
+    tables = _packed_weight_tables(L)
+    reps = _unit_digits(np.arange(start, stop, dtype=np.int64), L)
+    rep_conventions: dict[int, list[str]] = {}
+    for convention, rows in _quat_funnel(reps, tables).items():
+        for row in rows.tolist():
+            rep_conventions.setdefault(row, []).append(convention)
+    members = []
+    for row, conventions in rep_conventions.items():
+        rep = reps[row].tolist()
+        for u in range(8):
+            units = tuple(MUL[u][x] for x in rep)
+            g = int("".join(map(str, units)), 8)
+            if g % mod == residue:
+                members.append((g, units, conventions))
+    members.sort()
+    hits: list[dict] = []
+    counts = {"right": 0, "left": 0}
+    sample_expanded = []
+    for g, units, funnel_conventions in members:
+        seq = QuaternionSequence(units)
+        conventions = [c for c in ("right", "left") if quat_is_perfect(seq, c)]
+        if conventions != funnel_conventions:
+            raise AssertionError(
+                f"packed-weight funnel finds {seq.symbols()} perfect under "
+                f"{funnel_conventions}, direct verification under {conventions}"
+            )
+        for c in conventions:
+            counts[c] += 1
+        if g % SPOT_SAMPLE_STRIDE == 0:
+            sample_expanded.extend((g, c) for c in conventions)
+        if len(hits) < spec.hit_limit:
+            hits.append({"symbols": list(seq.symbols()), "conventions": conventions})
+    lo, hi = 8 * start, 8 * stop
+    sample = np.arange(-(-lo // SPOT_SAMPLE_STRIDE) * SPOT_SAMPLE_STRIDE, hi,
+                       SPOT_SAMPLE_STRIDE, dtype=np.int64)
+    sample = sample[sample % mod == residue]
+    sample_direct = [
+        (int(sample[row]), c)
+        for c, rows in _quat_funnel(_unit_digits(sample, L), tables).items()
+        for row in rows.tolist()
+    ]
+    return {
+        "hits": hits,
+        "tested": len(range(lo + (residue - lo) % mod, hi, mod)),
+        "hits_total": len(members),
+        "histogram": {},
+        "max_hit_length": L if members else 0,
+        "spot_checks": 0,
+        "convention_counts": counts,
+        "sample_expanded": sample_expanded,
+        "sample_direct": sample_direct,
+    }
+
+
+def _merge_orbit_hits(results: list[dict], hit_limit: int) -> list[dict]:
+    """The first `hit_limit` raw-quaternion hits by global index.  Each
+    block's hits are in index order, but orbits spread them over the whole
+    space, so blocks interleave.  First the sampled raw indices'
+    unquotiented survivors must equal the expanded members at those indices."""
+    direct = sorted(p for r in results for p in r["sample_direct"])
+    expanded = sorted(p for r in results for p in r["sample_expanded"])
+    if direct != expanded:
+        diff = sorted(set(direct) ^ set(expanded))[:8]
+        raise AssertionError(
+            f"orbit expansion and the unquotiented funnel disagree on sampled "
+            f"(index, convention) pairs {diff}"
+        )
+    merged = heapq.merge(
+        *(r["hits"] for r in results),
+        # unit indices in sequence order compare as the base-8 index does
+        key=lambda hit: QuaternionSequence.from_symbols(hit["symbols"]).indices,
+    )
+    return list(itertools.islice(merged, hit_limit))
+
+
+def _run_block(
+    spec: SearchSpec,
+    block: tuple[int, int],
+    memo: _SweepMemo,
+    suffixes: Optional[list[tuple[int, ...]]],
+) -> dict:
     was_enabled = audit.enabled
     before = (audit.checked, audit.disagreements)
     if spec.audit and not was_enabled:
         audit.enabled = True
     try:
         if spec.family in ("poly", "floored"):
-            result = _index_function_block(spec, block[0], block[1], memo)
+            result = _index_function_block(spec, block[0], block[1], memo, suffixes)
         elif spec.family == "raw-phase":
             result = _raw_phase_block(spec, block[0], block[1])
         else:
@@ -623,37 +732,41 @@ def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> di
     return result
 
 
-# Each pool worker's memo, made fresh by `_start_worker` when the pool of one
-# `run_search` call starts; the parent process never sets it.
-_worker_memo: Optional[_SweepMemo] = None
+# Each pool worker's sweep state (its memo and the sweep's collapse
+# suffixes), set by `_start_worker` when the pool of one `run_search` call
+# starts; the parent process never sets it.
+_worker_state: tuple = ()
 
 
-def _start_worker() -> None:
-    global _worker_memo
-    _worker_memo = _SweepMemo()
+def _start_worker(suffixes: Optional[list[tuple[int, ...]]]) -> None:
+    global _worker_state
+    _worker_state = (_SweepMemo(), suffixes)
 
 
 def _run_block_in_worker(args: tuple[SearchSpec, tuple[int, int]]) -> dict:
-    return _run_block(*args, _worker_memo)
+    return _run_block(*args, *_worker_state)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
     """Execute a sweep.  Raises BudgetExceeded (with the exact count) before
     doing any work if the candidate space is larger than the budget."""
     t0 = time.monotonic()
-    total = _index_space_size(spec)
+    suffixes = _collapse_suffixes(spec)
+    space_size = _index_space_size(spec, suffixes)
+    total = space_size
     if spec.family in ("poly", "floored"):
         if spec.r_range[1] < spec.r_range[0] or spec.c_range[1] < spec.c_range[0]:
             total = 0
     if total > spec.budget:
         raise BudgetExceeded(total, spec.budget)
-    blocks = _blocks(total)
+    # raw-quaternion blocks cut the orbit representatives, one per 8 sequences
+    blocks = _blocks(total // 8 if spec.family == "raw-quaternion" else total)
     if spec.workers <= 1 or len(blocks) <= 1:
         memo = _SweepMemo()
-        results = [_run_block(spec, b, memo) for b in blocks]
+        results = [_run_block(spec, b, memo, suffixes) for b in blocks]
     else:
         with ProcessPoolExecutor(
-            max_workers=spec.workers, initializer=_start_worker
+            max_workers=spec.workers, initializer=_start_worker, initargs=(suffixes,)
         ) as pool:
             results = list(pool.map(_run_block_in_worker, [(spec, b) for b in blocks]))
     hits: list[dict] = []
@@ -666,7 +779,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     audit_checked = 0
     audit_disagreements = 0
     for r in results:
-        if len(hits) < spec.hit_limit:
+        if spec.family != "raw-quaternion" and len(hits) < spec.hit_limit:
             hits.extend(r["hits"][: spec.hit_limit - len(hits)])
         tested += r["tested"]
         hits_total += r["hits_total"]
@@ -678,10 +791,12 @@ def run_search(spec: SearchSpec) -> SearchReport:
         spot_checks += r["spot_checks"]
         audit_checked += r["audit_checked"]
         audit_disagreements += r["audit_disagreements"]
+    if spec.family == "raw-quaternion":
+        hits = _merge_orbit_hits(results, spec.hit_limit)
     limit = spec.bound_limit
     return SearchReport(
         spec=spec,
-        space_size=_index_space_size(spec),
+        space_size=space_size,
         total_candidates=tested,
         hits=hits,
         hits_total=hits_total,
@@ -696,21 +811,3 @@ def run_search(spec: SearchSpec) -> SearchReport:
         wall_time_s=time.monotonic() - t0,
         worker_chunks=[{"start": b[0], "stop": b[1]} for b in blocks],
     )
-
-
-def enumerate_poly(spec: SearchSpec) -> SearchReport:
-    if spec.family != "poly":
-        raise ValueError(f"expected a poly spec, got {spec.family!r}")
-    return run_search(spec)
-
-
-def enumerate_floored(spec: SearchSpec) -> SearchReport:
-    if spec.family != "floored":
-        raise ValueError(f"expected a floored spec, got {spec.family!r}")
-    return run_search(spec)
-
-
-def enumerate_raw(spec: SearchSpec) -> SearchReport:
-    if not spec.family.startswith("raw"):
-        raise ValueError(f"expected a raw spec, got {spec.family!r}")
-    return run_search(spec)

@@ -3,22 +3,20 @@ worker counts, budget refusal, filters, and the raw families."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aopseq.aop import check_aop
 from aopseq.indexfn import PolyIndex, generate_poly_array
-from aopseq.quaternion import QuaternionSequence, quat_is_perfect
+from aopseq.quaternion import UNIT_SYMBOLS, QuaternionSequence, quat_is_perfect
 from aopseq import search
 from aopseq.search import (
     BudgetExceeded,
     SearchSpec,
     _collapse_leading_tuples,
     _tile_verdicts,
-    enumerate_floored,
-    enumerate_poly,
-    enumerate_raw,
     run_search,
 )
 
@@ -44,18 +42,11 @@ def test_spec_validation():
         SearchSpec(family="poly", n=2, filter_mod=2, filter_residue=5)
 
 
-def test_family_wrappers_reject_mismatches():
+def test_total_candidates_of_small_spaces():
     poly = SearchSpec(family="poly", n=2)
-    floored = SearchSpec(family="floored", n=2, k=2)
     raw = SearchSpec(family="raw-phase", n=2, length=2)
-    with pytest.raises(ValueError):
-        enumerate_poly(floored)
-    with pytest.raises(ValueError):
-        enumerate_floored(poly)
-    with pytest.raises(ValueError):
-        enumerate_raw(poly)
-    assert enumerate_poly(poly).total_candidates == 512  # 2^9 bi-quadratics
-    assert enumerate_raw(raw).total_candidates == 4
+    assert run_search(poly).total_candidates == 512  # 2^9 bi-quadratics
+    assert run_search(raw).total_candidates == 4
 
 
 def brute_force_hits(n, deg_x, deg_y, r_range, c_range):
@@ -325,3 +316,98 @@ def test_no_verdict_memo_carries_across_sweeps(monkeypatch):
     assert first_calls > 0
     assert len(calls) == first_calls
     assert second.canonical_json() == first.canonical_json()
+
+
+def brute_force_quaternion_hits(length, filter_mod=1, filter_residue=0):
+    """Reference: every unit sequence of the length, in index order, checked
+    directly under both conventions."""
+    found = []
+    for idx in range(filter_residue, 8**length, filter_mod):
+        seq = QuaternionSequence(tuple(search._digits(idx, 8, length)))
+        conventions = [c for c in ("right", "left") if quat_is_perfect(seq, c)]
+        if conventions:
+            found.append({"symbols": list(seq.symbols()), "conventions": conventions})
+    return found
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_raw_quaternion_orbits_match_brute_force(length):
+    report = run_search(SearchSpec(family="raw-quaternion", length=length))
+    want = brute_force_quaternion_hits(length)
+    assert report.hits == want
+    assert report.hits_total == len(want)
+    assert report.total_candidates == 8**length
+    assert report.convention_counts == {
+        c: sum(c in h["conventions"] for h in want) for c in ("right", "left")
+    }
+
+
+def test_raw_quaternion_filter_matches_filtered_brute_force():
+    report = run_search(
+        SearchSpec(family="raw-quaternion", length=4, filter_mod=3, filter_residue=1)
+    )
+    want = brute_force_quaternion_hits(4, 3, 1)
+    assert want
+    assert report.hits == want
+    assert report.hits_total == len(want)
+    assert report.total_candidates == len(range(1, 8**4, 3))
+
+
+def test_raw_quaternion_hit_limit_keeps_lowest_indices():
+    """Orbit members of one block spread over the whole index space, so the
+    capped list must be the first hits by global index, not by block."""
+    spec = SearchSpec(family="raw-quaternion", length=6)
+    full = run_search(spec)
+    assert full.hits_total > 40
+    assert len(full.hits) == full.hits_total
+    order = [[UNIT_SYMBOLS.index(x) for x in h["symbols"]] for h in full.hits]
+    assert order == sorted(order)
+    capped = run_search(SearchSpec(family="raw-quaternion", length=6, hit_limit=40))
+    assert capped.hits == full.hits[:40]
+    assert capped.hits_total == full.hits_total
+    assert capped.convention_counts == full.convention_counts
+
+
+def test_raw_quaternion_reports_identical_across_worker_counts():
+    outputs = [
+        run_search(SearchSpec(family="raw-quaternion", length=6, workers=w)).canonical_json()
+        for w in (1, 2, 4)
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_raw_quaternion_sample_mismatch_raises(monkeypatch):
+    """The sampled unquotiented funnel must equal the expanded orbits: a
+    single-block sweep whose sample funnel wrongly passes raw index 0,
+    (1, 1, 1, 1), is refused."""
+    real = search._quat_funnel
+    calls = []
+
+    def sample_passes_index_zero(seqs, tables):
+        out = real(seqs, tables)
+        calls.append(len(seqs))
+        if len(calls) == 2:  # the block funnels its representatives, then its sample
+            out["right"] = np.union1d(out["right"], [0])
+        return out
+
+    monkeypatch.setattr(search, "_quat_funnel", sample_passes_index_zero)
+    with pytest.raises(AssertionError, match="unquotiented funnel"):
+        run_search(SearchSpec(family="raw-quaternion", length=4))
+    assert calls == [8**3, len(range(0, 8**4, search.SPOT_SAMPLE_STRIDE))]
+
+
+def test_collapse_suffixes_computed_once_per_sweep(monkeypatch):
+    calls = []
+    real = search._collapse_leading_tuples
+
+    def counting(m, n, width):
+        calls.append((m, n, width))
+        return real(m, n, width)
+
+    monkeypatch.setattr(search, "_collapse_leading_tuples", counting)
+    spec = SearchSpec(family="floored", n=1, k=3, deg_x=2, deg_y=2,
+                      r_range=(1, 1), c_range=(1, 1), restriction="collapse")
+    report = run_search(spec)
+    assert len(report.worker_chunks) > 1
+    assert report.total_candidates == 3**9
+    assert calls == [(3, 1, 3)]
