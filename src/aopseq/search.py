@@ -8,8 +8,9 @@ Four families share one engine skeleton:
     raw-quaternion  all unit-quaternion sequences of a given length
 
 Candidates live in a single lexicographic index space that is cut into fixed
-blocks up front; workers process disjoint blocks and the merge is an ordered
-concatenation, so reports are identical for any worker count.  Nothing that
+blocks up front; workers process disjoint blocks and the parent consumes
+their results in block order (printing one progress line per block when
+asked), so reports are identical for any worker count.  Nothing that
 depends on scheduling (wall time, chunk accounting, audit tallies, worker
 count) enters the canonical serialized report.
 
@@ -17,19 +18,30 @@ Index-function sweeps exploit that generated entries depend only on the cell
 residues mod the period: each candidate is collapsed to its period x period
 tile, and column counts beyond the period are rejected outright because
 columns j and j + period coincide (a column cannot be orthogonal to its own
-duplicate at shift 0).  Verdicts are memoized per column-phase class of the
+duplicate at shift 0).  A tile mod m is linear in the coefficient vector, so
+the vector is split into a head (every coefficient but the last x-power row)
+and a tail (that row, or one of the collapse suffixes), and the index is
+head * tails + tail.  The tail tiles are tabulated once per sweep in each
+process; a candidate's tile is (head tile + tail tile) mod m, floored by n
+for the floored family.  Verdicts are memoized per column-phase class of the
 tile: every column is shifted mod the alphabet order so that its row-0 entry
 is 0.  A constant phase on a column multiplies its cross-correlations by a
 unit and leaves its autocorrelation unchanged, so both AOP conditions keep
-their truth values for every (R, C).  The memo lives for the whole sweep in
-each process (the serial loop or one pool worker) and never across sweeps.
+their truth values for every (R, C).  On top of that, each distinct head
+tile gets one verdict row, its class verdicts for every tail, so a
+candidate's verdicts are one lookup; tallies are kept per verdict tuple.
+Both memos live for the whole sweep in each process (the serial loop or one
+pool worker) and never across sweeps.  Blocks return compact hit records,
+(index, verdicts), until they hold `hit_limit` hits; the parent keeps the
+first `hit_limit` in block order and builds report entries only for those.
 
-One candidate in a hundred is re-checked the slow way: the array is
-regenerated directly from the index function, the duplicate columns are
-compared entrywise, and the pruned combinations are re-run through the full
-check.  The sampled candidate's own raw tile, once per distinct raw tile per
-sweep, also gets its verdicts recomputed and compared with its class's
-verdicts, which keeps the quotient itself under a direct check.
+One candidate in a hundred is re-checked the slow way: its tile is built
+directly from the coefficient vector and must equal the composed tile, the
+array is regenerated directly from the index function, the duplicate columns
+are compared entrywise, and the pruned combinations are re-run through the
+full check.  The sampled candidate's own raw tile, once per distinct raw
+tile per sweep, also gets its verdicts recomputed and compared with its
+class's verdicts, which keeps the quotient itself under a direct check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -60,6 +72,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -324,13 +337,44 @@ def _monomial_rows(spec: SearchSpec) -> list[list[int]]:
     return rows
 
 
-class _SweepMemo:
-    """Tile verdicts of one sweep in one process, keyed by column-phase class,
-    and the raw tiles whose verdicts were already cross-checked against their
-    class."""
+def _tail_tiles(
+    spec: SearchSpec,
+    suffixes: Optional[list[tuple[int, ...]]],
+    mono: list[list[int]],
+) -> list[tuple[int, ...]]:
+    """The tile mod m, row-major, of each tail in tail-index order: every
+    last x-power row of coefficients, or each collapse suffix."""
+    m = spec.coeff_modulus
+    width = spec.deg_y + 1
+    tails = itertools.product(range(m), repeat=width) if suffixes is None else suffixes
+    tail_mono = [row[-width:] for row in mono]
+    return [
+        tuple(sum(c * v for c, v in zip(tail, r)) % m for r in tail_mono)
+        for tail in tails
+    ]
 
-    def __init__(self) -> None:
-        self.verdicts: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+
+Verdicts = tuple[tuple[int, int], ...]
+
+
+class _SweepMemo:
+    """One sweep's state in one process: the collapse suffixes, monomial rows
+    and tail tiles of an index-function sweep, its verdicts per column-phase
+    class and per head tile (a row of the verdicts of every tail, filled on
+    demand), and the raw tiles whose verdicts were already cross-checked
+    against their class."""
+
+    def __init__(
+        self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
+    ) -> None:
+        self.suffixes = suffixes
+        self.mono: list[list[int]] = []
+        self.tails: list[tuple[int, ...]] = []
+        if spec.family in ("poly", "floored"):
+            self.mono = _monomial_rows(spec)
+            self.tails = _tail_tiles(spec, suffixes, self.mono)
+        self.verdicts: dict[tuple[int, ...], Verdicts] = {}
+        self.rows: dict[tuple[int, ...], list[Optional[Verdicts]]] = {}
         self.cross_checked: set[tuple[int, ...]] = set()
 
 
@@ -377,7 +421,7 @@ def _spot_verify(
     spec: SearchSpec,
     vector: list[int],
     tile_cols: list[tuple[int, ...]],
-    verdicts: list[tuple[int, int]],
+    verdicts: Verdicts,
 ) -> int:
     """Slow-path cross-check for one sampled candidate.
 
@@ -428,90 +472,130 @@ def _spot_verify(
     return checked
 
 
-def _index_function_block(
-    spec: SearchSpec,
-    start: int,
-    stop: int,
-    memo: _SweepMemo,
-    suffixes: Optional[list[tuple[int, ...]]],
-) -> dict:
+def _phase_class(flat: list[int], period: int, order: int) -> tuple[int, ...]:
+    """The column-phase class of a row-major tile: column j shifted by its
+    row-0 entry flat[j]."""
+    return tuple([(v - b) % order for v, b in zip(flat, flat[:period] * period)])
+
+
+def _class_verdicts(spec: SearchSpec, memo: _SweepMemo, flat: list[int]) -> Verdicts:
+    """The verdicts of a row-major tile, memoized by its column-phase class."""
     m = spec.coeff_modulus
     order = spec.alphabet_order
-    decoder = _VectorDecoder(spec, suffixes)
-    mono = _monomial_rows(spec)
-    is_floored = spec.family == "floored"
-    n = spec.n
-    k_sq = spec.k * spec.k if is_floored else 0
-    # the quadratic-row coefficients, which alone decide the collapse flag
-    lead_width = spec.deg_y + 1 if spec.deg_x >= 2 else 0
-    lead = slice(2 * lead_width, 3 * lead_width)
-    collapse_of: dict[tuple[int, ...], bool] = {}
-    hits: list[dict] = []
-    histogram: dict[str, int] = {}
-    tested = 0
-    hits_total = 0
-    max_len = 0
-    spot_checks = 0
-    for idx in range(start, stop):
-        if spec.filter_mod > 1 and idx % spec.filter_mod != spec.filter_residue:
-            continue
-        vector = decoder(idx)
-        if spec.symmetry == "phase-shift":
-            # canonicalize the constant coefficient: bumping it by `step`
-            # rotates every generated exponent by one alphabet step
-            step = n if is_floored else 1
-            if vector[0] // step != 0:
-                continue
-        tested += 1
-        flat = []
-        for row in mono:
-            v = 0
-            for t, c in enumerate(vector):
-                if c:
-                    v += c * row[t]
-            v %= m
-            flat.append(v // n if is_floored else v)
-        # the column-phase class: column j shifted by its row-0 entry flat[j]
-        key = tuple([(v - b) % order for v, b in zip(flat, flat[:m] * m)])
-        verdicts = memo.verdicts.get(key)
-        if verdicts is None:
-            verdicts = _tile_verdicts(
-                _tile_columns(key, m), m, order, spec.r_range, spec.c_range
+    key = _phase_class(flat, m, order)
+    verdicts = memo.verdicts.get(key)
+    if verdicts is None:
+        verdicts = memo.verdicts[key] = tuple(
+            _tile_verdicts(_tile_columns(key, m), m, order, spec.r_range, spec.c_range)
+        )
+    return verdicts
+
+
+def _spot_check(
+    spec: SearchSpec,
+    memo: _SweepMemo,
+    vector: list[int],
+    composed: list[int],
+    verdicts: Verdicts,
+) -> int:
+    """The sampled checks of one candidate: its tile built directly from the
+    coefficient vector must equal the composed tile, `_spot_verify` re-derives
+    the verdicts from the directly generated array, and a raw tile outside its
+    class representative has its own verdicts recomputed once per sweep."""
+    m = spec.coeff_modulus
+    order = spec.alphabet_order
+    divisor = spec.n if spec.family == "floored" else 1
+    flat = [
+        sum(c * r for c, r in zip(vector, row) if c) % m // divisor for row in memo.mono
+    ]
+    if flat != composed:
+        raise AssertionError(
+            f"composed tile {composed} differs from the direct tile {flat} "
+            f"of vector {vector}"
+        )
+    tile_cols = _tile_columns(flat, m)
+    checked = _spot_verify(spec, vector, tile_cols, verdicts)
+    raw = tuple(flat)
+    if raw != _phase_class(flat, m, order) and raw not in memo.cross_checked:
+        memo.cross_checked.add(raw)
+        direct = tuple(_tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range))
+        if direct != verdicts:
+            raise AssertionError(
+                f"tile of vector {vector} has verdicts {direct}, "
+                f"its column-phase class {verdicts}"
             )
-            memo.verdicts[key] = verdicts
-        if idx % SPOT_SAMPLE_STRIDE == 0:
-            tile_cols = _tile_columns(flat, m)
-            spot_checks += _spot_verify(spec, vector, tile_cols, verdicts)
-            raw = tuple(flat)
-            if raw != key and raw not in memo.cross_checked:
-                memo.cross_checked.add(raw)
-                direct = _tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range)
-                if direct != verdicts:
-                    raise AssertionError(
-                        f"tile of vector {vector} has verdicts {direct}, "
-                        f"its column-phase class {verdicts}"
-                    )
-        if not verdicts:
+    return checked
+
+
+def _index_function_block(
+    spec: SearchSpec, start: int, stop: int, memo: _SweepMemo
+) -> dict:
+    m = spec.coeff_modulus
+    tail_width = spec.deg_y + 1
+    head_width = spec.vector_width - tail_width
+    head_mono = [row[:-tail_width] for row in memo.mono]
+    tails = memo.tails
+    n_tails = len(tails)
+    divisor = spec.n if spec.family == "floored" else 1
+    mod, residue = spec.filter_mod, spec.filter_residue
+    if spec.symmetry == "phase-shift":
+        # canonicalize the constant coefficient: bumping it by `divisor`
+        # rotates every generated exponent by one alphabet step.  It is the
+        # index's leading digit, so keeping it below `divisor` keeps a prefix.
+        stop = min(stop, divisor * m**head_width * n_tails // m)
+    decoder = _VectorDecoder(spec, memo.suffixes)
+    tally: Counter[Verdicts] = Counter()
+    records: list[tuple[int, Verdicts]] = []
+    room = spec.hit_limit
+    tested = 0
+    spot_checks = 0
+    for head in range(start // n_tails, -(-stop // n_tails)):
+        base = head * n_tails
+        lo, hi = max(start, base), min(stop, base + n_tails)
+        first = lo + (residue - lo) % mod
+        if first >= hi:
             continue
-        if is_floored:
-            coeffs = tuple(vector[lead])
-            collapses = collapse_of.get(coeffs)
-            if collapses is None:
-                collapses = collapse_of[coeffs] = _leading_vanishes(coeffs, m, n)
+        digits = _digits(head, m, head_width)
+        head_tile = tuple(
+            sum(c * r for c, r in zip(digits, row) if c) % m for row in head_mono
+        )
+        row = memo.rows.get(head_tile)
+        if row is None:
+            row = memo.rows[head_tile] = [None] * n_tails
+        # rows fill on demand, so a sparse filter composes no unused tile
+        for t in range(first - base, hi - base, mod):
+            if row[t] is None:
+                composed = [(h + v) % m // divisor for h, v in zip(head_tile, tails[t])]
+                row[t] = _class_verdicts(spec, memo, composed)
+        picked = row[first - base : hi - base : mod]
+        tested += len(picked)
+        tally.update(picked)
+        if room > 0:
+            for idx, verdicts in zip(range(first, hi, mod), picked):
+                if verdicts:
+                    records.append((idx, verdicts))
+                    room -= len(verdicts)
+                    if room <= 0:
+                        break
+        for idx in range(-(-lo // SPOT_SAMPLE_STRIDE) * SPOT_SAMPLE_STRIDE, hi,
+                         SPOT_SAMPLE_STRIDE):
+            if idx % mod == residue:
+                tail = tails[idx - base]
+                composed = [(h + v) % m // divisor for h, v in zip(head_tile, tail)]
+                spot_checks += _spot_check(
+                    spec, memo, decoder(idx), composed, row[idx - base]
+                )
+    hits_total = 0
+    histogram: dict[str, int] = {}
+    max_len = 0
+    for verdicts, count in tally.items():
         for R, C in verdicts:
-            hits_total += 1
-            length = R * C
-            max_len = max(max_len, length)
+            hits_total += count
             dims = f"{R}x{C}"
-            histogram[dims] = histogram.get(dims, 0) + 1
-            if len(hits) < spec.hit_limit:
-                hit = {"vector": list(vector), "rows": R, "cols": C, "divisor": C}
-                if is_floored:
-                    hit["collapse"] = collapses
-                    hit["exceeds_base_square"] = length > k_sq
-                hits.append(hit)
+            histogram[dims] = histogram.get(dims, 0) + count
+            max_len = max(max_len, R * C)
     return {
-        "hits": hits,
+        "hits": records,
         "tested": tested,
         "hits_total": hits_total,
         "histogram": histogram,
@@ -519,6 +603,34 @@ def _index_function_block(
         "spot_checks": spot_checks,
         "convention_counts": {},
     }
+
+
+def _index_hits(
+    spec: SearchSpec,
+    records: list[tuple[int, Verdicts]],
+    suffixes: Optional[list[tuple[int, ...]]],
+) -> list[dict]:
+    """Report entries for compact hit records (index, verdicts), at most
+    `hit_limit` of them, in record order."""
+    decoder = _VectorDecoder(spec, suffixes)
+    floored = spec.family == "floored"
+    # the quadratic-row coefficients, which alone decide the collapse flag
+    lead_width = spec.deg_y + 1 if spec.deg_x >= 2 else 0
+    lead = slice(2 * lead_width, 3 * lead_width)
+    hits: list[dict] = []
+    for idx, verdicts in records:
+        vector = decoder(idx)
+        if floored:
+            collapses = _leading_vanishes(tuple(vector[lead]), spec.coeff_modulus, spec.n)
+        for R, C in verdicts:
+            if len(hits) == spec.hit_limit:
+                return hits
+            hit = {"vector": list(vector), "rows": R, "cols": C, "divisor": C}
+            if floored:
+                hit["collapse"] = collapses
+                hit["exceeds_base_square"] = R * C > spec.k * spec.k
+            hits.append(hit)
+    return hits
 
 
 def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
@@ -701,19 +813,14 @@ def _merge_orbit_hits(results: list[dict], hit_limit: int) -> list[dict]:
     return list(itertools.islice(merged, hit_limit))
 
 
-def _run_block(
-    spec: SearchSpec,
-    block: tuple[int, int],
-    memo: _SweepMemo,
-    suffixes: Optional[list[tuple[int, ...]]],
-) -> dict:
+def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> dict:
     was_enabled = audit.enabled
     before = (audit.checked, audit.disagreements)
     if spec.audit and not was_enabled:
         audit.enabled = True
     try:
         if spec.family in ("poly", "floored"):
-            result = _index_function_block(spec, block[0], block[1], memo, suffixes)
+            result = _index_function_block(spec, block[0], block[1], memo)
         elif spec.family == "raw-phase":
             result = _raw_phase_block(spec, block[0], block[1])
         else:
@@ -727,29 +834,48 @@ def _run_block(
     else:
         result["audit_checked"] = 0
         result["audit_disagreements"] = 0
-    if spec.progress_every > 0:
-        print(f"block {block[0]}..{block[1]} done", file=sys.stderr)
     return result
 
 
-# Each pool worker's sweep state (its memo and the sweep's collapse
-# suffixes), set by `_start_worker` when the pool of one `run_search` call
-# starts; the parent process never sets it.
+# Each pool worker's sweep state (the spec and its memo), set by
+# `_start_worker` when the pool of one `run_search` call starts; the parent
+# process never sets it.
 _worker_state: tuple = ()
 
 
-def _start_worker(suffixes: Optional[list[tuple[int, ...]]]) -> None:
+def _start_worker(spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]) -> None:
     global _worker_state
-    _worker_state = (_SweepMemo(), suffixes)
+    _worker_state = (spec, _SweepMemo(spec, suffixes))
 
 
-def _run_block_in_worker(args: tuple[SearchSpec, tuple[int, int]]) -> dict:
-    return _run_block(*args, *_worker_state)
+def _run_block_in_worker(block: tuple[int, int]) -> dict:
+    spec, memo = _worker_state
+    return _run_block(spec, block, memo)
+
+
+def _block_results(
+    spec: SearchSpec,
+    blocks: list[tuple[int, int]],
+    suffixes: Optional[list[tuple[int, ...]]],
+):
+    """Each block's result in block order, yielded as soon as it and every
+    block before it are done."""
+    if spec.workers <= 1 or len(blocks) <= 1:
+        memo = _SweepMemo(spec, suffixes)
+        for b in blocks:
+            yield _run_block(spec, b, memo)
+        return
+    with ProcessPoolExecutor(
+        max_workers=spec.workers, initializer=_start_worker, initargs=(spec, suffixes)
+    ) as pool:
+        yield from pool.map(_run_block_in_worker, blocks)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
     """Execute a sweep.  Raises BudgetExceeded (with the exact count) before
-    doing any work if the candidate space is larger than the budget."""
+    doing any work if the candidate space is larger than the budget.  With
+    `progress_every` > 0 the calling process prints one line per completed
+    block to stderr: candidates so far, their rate and the time left."""
     t0 = time.monotonic()
     suffixes = _collapse_suffixes(spec)
     space_size = _index_space_size(spec, suffixes)
@@ -761,15 +887,10 @@ def run_search(spec: SearchSpec) -> SearchReport:
         raise BudgetExceeded(total, spec.budget)
     # raw-quaternion blocks cut the orbit representatives, one per 8 sequences
     blocks = _blocks(total // 8 if spec.family == "raw-quaternion" else total)
-    if spec.workers <= 1 or len(blocks) <= 1:
-        memo = _SweepMemo()
-        results = [_run_block(spec, b, memo, suffixes) for b in blocks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=spec.workers, initializer=_start_worker, initargs=(suffixes,)
-        ) as pool:
-            results = list(pool.map(_run_block_in_worker, [(spec, b) for b in blocks]))
-    hits: list[dict] = []
+    index_family = spec.family in ("poly", "floored")
+    kept: list = []
+    room = spec.hit_limit
+    quat_results: list[dict] = []
     histogram: dict[str, int] = {}
     conv_counts: dict[str, int] = {}
     tested = 0
@@ -778,9 +899,20 @@ def run_search(spec: SearchSpec) -> SearchReport:
     spot_checks = 0
     audit_checked = 0
     audit_disagreements = 0
-    for r in results:
-        if spec.family != "raw-quaternion" and len(hits) < spec.hit_limit:
-            hits.extend(r["hits"][: spec.hit_limit - len(hits)])
+    covered = 0
+    for number, (block, r) in enumerate(
+        zip(blocks, _block_results(spec, blocks, suffixes)), 1
+    ):
+        if spec.family == "raw-quaternion":
+            quat_results.append(r)
+        else:
+            # index-function blocks hold (index, verdicts) records of
+            # len(verdicts) hits each, raw-phase blocks one hit per entry
+            for hit in r["hits"]:
+                if room <= 0:
+                    break
+                kept.append(hit)
+                room -= len(hit[1]) if index_family else 1
         tested += r["tested"]
         hits_total += r["hits_total"]
         for key, c in r["histogram"].items():
@@ -791,8 +923,21 @@ def run_search(spec: SearchSpec) -> SearchReport:
         spot_checks += r["spot_checks"]
         audit_checked += r["audit_checked"]
         audit_disagreements += r["audit_disagreements"]
-    if spec.family == "raw-quaternion":
-        hits = _merge_orbit_hits(results, spec.hit_limit)
+        if spec.progress_every > 0:
+            covered += block[1] - block[0]
+            elapsed = time.monotonic() - t0
+            eta = elapsed * (blocks[-1][1] - covered) / covered
+            print(
+                f"block {number}/{len(blocks)}: {tested} candidates, "
+                f"{tested / elapsed:.0f}/s, ETA {eta:.1f}s",
+                file=sys.stderr,
+            )
+    if index_family:
+        hits = _index_hits(spec, kept, suffixes)
+    elif spec.family == "raw-quaternion":
+        hits = _merge_orbit_hits(quat_results, spec.hit_limit)
+    else:
+        hits = kept
     limit = spec.bound_limit
     return SearchReport(
         spec=spec,

@@ -1,6 +1,7 @@
 """Command surface: round trips, exit codes, file schema failure modes."""
 
 import json
+import time
 
 import pytest
 
@@ -259,3 +260,39 @@ def test_search_cli_audit_disagreement_exits_three(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert "audit disagreement" in err
     assert "disagreements 0" not in err
+
+
+@pytest.mark.parametrize("body", [
+    "format: phase-sequence/1\norder: 30000\nlength: 2\nexponents: 0,1\n",
+    "format: phase-array/1\norder: 30000\nrows: 1\ncols: 2\nexponents: 0,1\n",
+    "format: projection/1\norder: 30000\nlength: 1\nvalues: 1\n",
+])
+def test_oversized_order_exits_two_quickly(tmp_path, capsys, body):
+    """The zero test's reduction table grows with the order, so a four-line
+    file must not buy a minute of work: the order is capped at read time."""
+    path = tmp_path / "big.txt"
+    path.write_text(body)
+    t0 = time.monotonic()
+    assert cli.main(["verify", str(path)]) == 2
+    assert time.monotonic() - t0 < 5.0
+    assert f"cap of {cli.MAX_ORDER}" in capsys.readouterr().err
+
+
+def test_order_at_the_cap_is_read(tmp_path):
+    path = tmp_path / "cap.txt"
+    path.write_text(
+        f"format: phase-sequence/1\norder: {cli.MAX_ORDER}\nlength: 1\nexponents: 7\n"
+    )
+    assert cli.read_object(path).order == cli.MAX_ORDER
+    assert cli.main(["verify", str(path)]) == 0
+
+
+def test_verify_echoes_only_settings_it_uses(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    with open(path, "w") as fh:
+        cli.write_object(PhaseSequence(2, (0, 0, 0, 1)), fh, "test", {})
+    assert cli.main(["verify", str(path)]) == 0
+    config = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config-")]
+    assert [l.split(":")[0] for l in config] == [
+        "config-command", "config-mode", "config-tool-version",
+    ]

@@ -1,7 +1,13 @@
 """Sweep engine: brute-force agreement, prune soundness, determinism across
 worker counts, budget refusal, filters, and the raw families."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,3 +417,184 @@ def test_collapse_suffixes_computed_once_per_sweep(monkeypatch):
     assert len(report.worker_chunks) > 1
     assert report.total_candidates == 3**9
     assert calls == [(3, 1, 3)]
+
+
+def reference_index_sweep(spec):
+    """Direct reference for poly and floored sweeps: decode every index in
+    the filter, build its tile by dot products with the monomial values, and
+    take its verdicts from `_tile_verdicts`."""
+    m = spec.coeff_modulus
+    n = spec.n
+    floored = spec.family == "floored"
+    divisor = n if floored else 1
+    tail_width = spec.deg_y + 1
+    head_width = spec.vector_width - tail_width
+    suffixes = search._collapse_suffixes(spec)
+    tails = suffixes if suffixes is not None else list(
+        itertools.product(range(m), repeat=tail_width)
+    )
+    monomials = [
+        [pow(i, a, m) * pow(j, b, m) % m
+         for a in range(spec.deg_x + 1) for b in range(spec.deg_y + 1)]
+        for i in range(m) for j in range(m)
+    ]
+    space = m**head_width * len(tails)
+    by_tile = {}
+    hits, histogram = [], {}
+    tested = hits_total = max_len = 0
+    for idx in range(spec.filter_residue, space, spec.filter_mod):
+        head, tail = divmod(idx, len(tails))
+        vector = list(search._digits(head, m, head_width)) + list(tails[tail])
+        if spec.symmetry == "phase-shift" and vector[0] >= divisor:
+            continue
+        tested += 1
+        tile = tuple(
+            sum(c * v for c, v in zip(vector, row)) % m // divisor for row in monomials
+        )
+        if tile not in by_tile:
+            by_tile[tile] = _tile_verdicts(
+                [tile[j::m] for j in range(m)], m, spec.alphabet_order,
+                spec.r_range, spec.c_range,
+            )
+        lead = vector[2 * tail_width : 3 * tail_width] if spec.deg_x >= 2 else []
+        collapse = all(
+            sum(c * j**b for b, c in enumerate(lead)) % m % n == 0 for j in range(m)
+        )
+        for R, C in by_tile[tile]:
+            hits_total += 1
+            max_len = max(max_len, R * C)
+            histogram[f"{R}x{C}"] = histogram.get(f"{R}x{C}", 0) + 1
+            if len(hits) < spec.hit_limit:
+                hit = {"vector": vector, "rows": R, "cols": C, "divisor": C}
+                if floored:
+                    hit["collapse"] = collapse
+                    hit["exceeds_base_square"] = R * C > spec.k**2
+                hits.append(hit)
+    return tested, hits, hits_total, histogram, max_len
+
+
+def differential_cases():
+    cases = []
+    for family, n, k in (("poly", 2, 0), ("floored", 2, 2)):
+        for deg_x in range(4):
+            for deg_y in range(3):
+                m = n * (k or 1)
+                space = m ** ((deg_x + 1) * (deg_y + 1))
+                # thin the largest spaces to a few thousand candidates
+                mod = 1 if space <= 4096 else space // 2048 + 1
+                cases.append(dict(family=family, n=n, k=k, deg_x=deg_x, deg_y=deg_y,
+                                  filter_mod=mod, filter_residue=mod // 2))
+    cases += [
+        dict(family="poly", n=3, deg_x=2, deg_y=2, filter_mod=7, filter_residue=3),
+        dict(family="poly", n=3, deg_x=1, deg_y=2, symmetry="phase-shift"),
+        dict(family="poly", n=2, deg_x=3, deg_y=0, symmetry="phase-shift",
+             filter_mod=3, filter_residue=2),
+        dict(family="floored", n=2, k=2, deg_x=2, deg_y=1, symmetry="phase-shift"),
+        dict(family="floored", n=2, k=2, deg_x=0, deg_y=2, symmetry="phase-shift"),
+        dict(family="floored", n=2, k=2, deg_x=2, deg_y=1, restriction="collapse"),
+        dict(family="floored", n=2, k=2, deg_x=2, deg_y=2, restriction="collapse",
+             symmetry="phase-shift", filter_mod=13, filter_residue=4),
+        dict(family="floored", n=2, k=2, deg_x=1, deg_y=2, restriction="collapse",
+             filter_mod=3, filter_residue=0),
+        dict(family="floored", n=3, k=1, deg_x=2, deg_y=1, filter_mod=5,
+             filter_residue=1),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", differential_cases(),
+    ids=lambda c: "-".join(f"{v}" for v in c.values()),
+)
+def test_composed_tiles_match_direct_reference(case):
+    spec = SearchSpec(**case, r_range=(1, 4), c_range=(1, 5), hit_limit=10**6)
+    report = run_search(spec)
+    tested, hits, hits_total, histogram, max_len = reference_index_sweep(spec)
+    assert report.total_candidates == tested
+    assert report.hits == hits
+    assert report.hits_total == hits_total
+    assert report.hit_histogram == histogram
+    assert report.max_hit_length == max_len
+
+
+def test_hit_cap_across_blocks_is_independent_of_workers():
+    """Blocks return at most `hit_limit` compact records and the parent keeps
+    the first `hit_limit` in block order, for a cap below, at and above one
+    block's hit count, and for one that splits a candidate's hits."""
+    base = dict(family="floored", n=2, k=2, deg_x=3, deg_y=1, r_range=(1, 3),
+                c_range=(1, 3), filter_mod=3, filter_residue=1)
+    uncapped = run_search(SearchSpec(**base, hit_limit=10**6))
+    assert len(uncapped.worker_chunks) > 4
+    assert len(uncapped.hits) == uncapped.hits_total
+    spec = SearchSpec(**base)
+    first = search._run_block(spec, (0, uncapped.worker_chunks[0]["stop"]),
+                              search._SweepMemo(spec, None))
+    per_block = first["hits_total"]
+    assert 0 < per_block < uncapped.hits_total
+    hits = uncapped.hits
+    split = next(i for i in range(per_block + 2, len(hits))
+                 if hits[i]["vector"] == hits[i - 1]["vector"])
+    for limit in (per_block - 1, per_block, per_block + 1, split):
+        outputs = [
+            run_search(SearchSpec(**base, hit_limit=limit, workers=w))
+            for w in (1, 2, 4)
+        ]
+        assert outputs[0].hits == hits[:limit]
+        assert outputs[0].hits_total == uncapped.hits_total
+        texts = [r.canonical_json() for r in outputs]
+        assert texts[0] == texts[1] == texts[2]
+
+
+def test_composed_tile_disagreeing_with_direct_tile_raises(monkeypatch):
+    """Index 0 is sampled; its composed tile is head tile 0 plus tail tile 0,
+    which is made wrong here, so the sampled composition check must refuse."""
+    real = search._tail_tiles
+
+    def wrong_first_tail(spec, suffixes, mono):
+        tiles = real(spec, suffixes, mono)
+        first = list(tiles[0])
+        first[1] = (first[1] + spec.n) % spec.coeff_modulus  # one floored step
+        return [tuple(first)] + tiles[1:]
+
+    monkeypatch.setattr(search, "_tail_tiles", wrong_first_tail)
+    with pytest.raises(AssertionError, match="composed tile"):
+        run_search(SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1,
+                              r_range=(1, 2), c_range=(1, 2)))
+
+
+def test_index_sweeps_do_not_import_numpy():
+    """Importing numpy costs more than a small sweep; the poly and floored
+    paths stay pure Python."""
+    code = (
+        "import sys\n"
+        "from aopseq import SearchSpec, run_search\n"
+        "run_search(SearchSpec(family='poly', n=3, deg_x=1, deg_y=1,"
+        " r_range=(1, 3), c_range=(1, 3)))\n"
+        "run_search(SearchSpec(family='floored', n=2, k=2, deg_x=1, deg_y=1,"
+        " r_range=(1, 4), c_range=(1, 4), restriction='collapse'))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_lines_come_from_the_parent(workers, capfd):
+    spec = SearchSpec(family="floored", n=2, k=2, deg_x=3, deg_y=1,
+                      r_range=(2, 3), c_range=(2, 3), workers=workers)
+    quiet = run_search(spec)
+    assert capfd.readouterr().err == ""
+    loud = run_search(replace(spec, progress_every=1))
+    lines = capfd.readouterr().err.splitlines()
+    assert loud.canonical_json() == quiet.canonical_json()
+    blocks = len(loud.worker_chunks)
+    assert len(lines) == blocks
+    for number, line in enumerate(lines, 1):
+        assert line.startswith(f"block {number}/{blocks}: ")
+        assert "/s, ETA " in line
+    assert lines[-1].endswith("ETA 0.0s")
+    assert f"{loud.total_candidates} candidates" in lines[-1]
