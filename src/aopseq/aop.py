@@ -21,8 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclotomic import CyclotomicInt, counts_is_zero, cyc_conj, cyc_mul
-from .correlation import autocorrelate, autocorrelate_2d, projection_autocorrelate
+from .cyclotomic import CyclotomicInt, counts_is_zero
+from .correlation import (
+    autocorrelate_2d,
+    diff_counts,
+    product_counts,
+    projection_autocorrelate,
+)
 from .seqmodel import (
     PhaseArray,
     PhaseSequence,
@@ -68,15 +73,6 @@ class AopVerdict:
             raise ValueError("verdict holds iff no failing condition is recorded")
 
 
-def _cross_zero_at(u: tuple[int, ...], v: tuple[int, ...], tau: int, order: int) -> bool:
-    # Exact zero test of sum_i w^(u_i - v_{i+tau}) without object wrappers.
-    R = len(u)
-    counts = [0] * order
-    for i in range(R):
-        counts[(u[i] - v[(i + tau) % R]) % order] += 1
-    return counts_is_zero(counts, order)
-
-
 def _condition_1_witness(
     cols: list[tuple[int, ...]], rows: int, order: int
 ) -> Optional[tuple[int, int, int]]:
@@ -88,7 +84,7 @@ def _condition_1_witness(
         for j1 in range(j0 + 1, C):
             u, v = cols[j0], cols[j1]
             for tau in range(rows):
-                if not _cross_zero_at(u, v, tau, order):
+                if not counts_is_zero(diff_counts(((u, v, tau),), order), order):
                     return (j0, j1, tau)
     return None
 
@@ -97,10 +93,7 @@ def _condition_2_witness(
     cols: list[tuple[int, ...]], rows: int, order: int
 ) -> Optional[tuple[int]]:
     for tau in range(1, rows):
-        counts = [0] * order
-        for col in cols:
-            for i in range(rows):
-                counts[(col[i] - col[(i + tau) % rows]) % order] += 1
+        counts = diff_counts([(col, col, tau) for col in cols], order)
         if not counts_is_zero(counts, order):
             return (tau,)
     return None
@@ -146,15 +139,10 @@ def _aop_holds_columns(cols: list[tuple[int, ...]], rows: int, order: int) -> bo
 def is_perfect_sequence(seq: PhaseSequence) -> bool:
     """All off-peak exact autocorrelations are zero."""
     exps = seq.exponents
-    L = len(exps)
     n = seq.order
-    for tau in range(1, L):
-        counts = [0] * n
-        for i in range(L):
-            counts[(exps[i] - exps[(i + tau) % L]) % n] += 1
-        if not counts_is_zero(counts, n):
-            return False
-    return True
+    return all(
+        counts_is_zero(diff_counts(((exps, exps, tau),), n), n) for tau in range(1, len(exps))
+    )
 
 
 def is_perfect_array(array: PhaseArray) -> bool:
@@ -170,18 +158,10 @@ def is_perfect_projection(proj: ProjectionSequence) -> bool:
     `is_degenerate_projection` to tell that case apart from ordinary
     perfection.
     """
-    vals = proj.values
-    L = len(vals)
     n = proj.order
-    for tau in range(1, L):
-        acc = [0] * n
-        for i in range(L):
-            prod = cyc_mul(vals[i], cyc_conj(vals[(i + tau) % L]))
-            for e in range(n):
-                acc[e] += prod.coeffs[e]
-        if not counts_is_zero(acc, n):
-            return False
-    return True
+    return all(
+        counts_is_zero(product_counts(proj.values, tau, n), n) for tau in range(1, len(proj))
+    )
 
 
 def is_degenerate_projection(proj: ProjectionSequence) -> bool:

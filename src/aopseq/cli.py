@@ -25,7 +25,7 @@ from .aop import (
     is_perfect_projection,
     is_perfect_sequence,
 )
-from .correlation import autocorrelate_2d_float, autocorrelate_float
+from .correlation import autocorrelate, autocorrelate_2d
 from .cyclotomic import CyclotomicInt
 from .indexfn import frank_array
 from .quaternion import QuaternionSequence, quat_is_perfect
@@ -167,7 +167,7 @@ def _order_field(fields: dict[str, str]) -> int:
 def read_object(path: Union[str, Path]) -> FileObject:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}")
     fields = _parse_kv(text)
     tag = _field(fields, "format")
@@ -245,12 +245,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _float_advisory(obj: FileObject) -> list[str]:
     if isinstance(obj, PhaseSequence):
-        profile = autocorrelate_float(obj)
+        profile = autocorrelate(obj)
     elif isinstance(obj, PhaseArray):
-        profile = autocorrelate_2d_float(obj)
+        profile = autocorrelate_2d(obj)
     else:
         return []
-    offpeak = [abs(v) for i, v in enumerate(profile.values) if i != 0]
+    offpeak = [abs(v) for v in profile.to_complex()[1:]]
     worst = max(offpeak) if offpeak else 0.0
     return [f"float-offpeak-max: {worst!r}"]
 

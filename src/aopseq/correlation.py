@@ -1,10 +1,12 @@
-"""Periodic correlation kernels, exact and floating point.
+"""Periodic correlation kernels, exact.
 
-All shifts are cyclic.  The exact kernels accumulate each product of
-unimodular entries as a single exponent difference, so a correlation value is
-a vector of term counts interpreted in Z[w]; zero verdicts then reduce to the
-cyclotomic zero test.  Float kernels exist as an advisory fast path and never
-decide a verdict.
+All shifts are cyclic.  Every correlation of unimodular entries goes through
+one kernel, `diff_counts`, which accumulates each product as a single
+exponent difference, so a correlation value is a vector of term counts
+interpreted in Z[w]; zero verdicts then reduce to the cyclotomic zero test.
+Correlations of full cyclotomic integers (projections) go through the one
+ring-product kernel, `product_counts`.  A float profile is a view of the
+exact counts (`CorrelationProfile.to_complex`) and never decides a verdict.
 
 Two-dimensional shifts are ordered (vertical, horizontal) everywhere: the
 profile entry for shift pair (v, h) sits at flat index v*C + h.  Sources vary
@@ -16,17 +18,10 @@ The direct O(L^2) accumulation is the reference path for every verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import TextIO
 
-from .cyclotomic import (
-    CyclotomicInt,
-    counts_is_zero,
-    counts_to_complex,
-    cyc_add,
-    cyc_conj,
-    cyc_mul,
-    root_table,
-)
+from .cyclotomic import CyclotomicInt, counts_is_zero, counts_to_complex, cyc_conj
 from .seqmodel import PhaseArray, PhaseSequence, ProjectionSequence, column_sum, flatten
 
 __all__ = [
@@ -35,9 +30,6 @@ __all__ = [
     "crosscorrelate",
     "autocorrelate_2d",
     "projection_autocorrelate",
-    "autocorrelate_float",
-    "crosscorrelate_float",
-    "autocorrelate_2d_float",
     "decomposition_check",
     "decomposition_check_all",
     "projection_sum_check",
@@ -51,16 +43,14 @@ class CorrelationProfile:
     """Correlation values over one full period of shifts.
 
     `shape` is (L,) for sequences or (R, C) for arrays; 2D values are stored
-    row-major by (v, h).  Exact profiles hold `CyclotomicInt` values; float
-    profiles hold complex values, carry `exact=False`, and refuse to answer
-    perfection queries.
+    row-major by (v, h).  Values are `CyclotomicInt`s; `to_complex` is their
+    advisory float view.
     """
 
     order: int
     shape: tuple[int, ...]
     values: tuple
     kind: str  # "auto" | "cross"
-    exact: bool = True
 
     @property
     def length(self) -> int:
@@ -82,16 +72,12 @@ class CorrelationProfile:
         return self.values[0]
 
     def is_perfect(self) -> bool:
-        """True iff every off-peak value is exactly zero (exact mode only)."""
-        if not self.exact:
-            raise ValueError("perfection is decided by exact profiles only")
+        """True iff every off-peak value is exactly zero."""
         return all(v.is_zero() for v in self.values[1:])
 
     def has_hermitian_symmetry(self) -> bool:
         """Exact check that the value at shift t equals the conjugate of the
         value at shift -t (meaningful for autocorrelation profiles)."""
-        if not self.exact:
-            raise ValueError("hermitian check is defined on exact profiles")
         if len(self.shape) == 1:
             (L,) = self.shape
             return all(
@@ -107,18 +93,39 @@ class CorrelationProfile:
         return True
 
     def to_complex(self) -> list[complex]:
-        if not self.exact:
-            return list(self.values)
+        """Advisory float view of the exact values."""
         return [counts_to_complex(v.coeffs, self.order) for v in self.values]
 
 
-def _diff_counts(a: tuple[int, ...], b: tuple[int, ...], tau: int, order: int) -> list[int]:
-    # Term counts of sum_i w^(a_i - b_{i+tau}), cyclic in the common length.
-    L = len(a)
+def diff_counts(terms, order: int) -> list[int]:
+    """Term counts of the sum over `terms` of sum_i w^(u_i - v_{i+tau}).
+
+    `terms` holds (u, v, tau) triples of exponent tuples and a shift; each
+    term is cyclic in its own length.  Every exponent-difference correlation
+    in the package is one call of this kernel.
+    """
     counts = [0] * order
-    for i in range(L):
-        counts[(a[i] - b[(i + tau) % L]) % order] += 1
+    for u, v, tau in terms:
+        t = tau % len(v)
+        for d in map(sub, u, v[t:] + v[:t] if t else v):
+            counts[d % order] += 1
     return counts
+
+
+def product_counts(vals, tau: int, order: int) -> list[int]:
+    """Coefficients of sum_i vals[i] * conj(vals[i+tau]) for `CyclotomicInt`
+    values, cyclic in len(vals): conjugation maps w^e to w^(-e), so each
+    pair of terms lands at the difference of their exponents."""
+    L = len(vals)
+    acc = [0] * order
+    for i in range(L):
+        right = vals[(i + tau) % L].coeffs
+        for e1, c1 in enumerate(vals[i].coeffs):
+            if c1:
+                for e2, c2 in enumerate(right):
+                    if c2:
+                        acc[(e1 - e2) % order] += c1 * c2
+    return acc
 
 
 def autocorrelate(seq: PhaseSequence) -> CorrelationProfile:
@@ -134,80 +141,34 @@ def crosscorrelate(a: PhaseSequence, b: PhaseSequence, *, _kind: str = "cross") 
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     n = a.order
     values = tuple(
-        CyclotomicInt(n, tuple(_diff_counts(a.exponents, b.exponents, tau, n)))
+        CyclotomicInt(n, tuple(diff_counts(((a.exponents, b.exponents, tau),), n)))
         for tau in range(len(a))
     )
     return CorrelationProfile(n, (len(a),), values, _kind)
 
 
 def autocorrelate_2d(array: PhaseArray) -> CorrelationProfile:
-    """Exact 2D periodic autocorrelation, indexed by shift pair (v, h)."""
+    """Exact 2D periodic autocorrelation, indexed by shift pair (v, h): column
+    j meets column j+h shifted down by v."""
     n, R, C = array.order, array.rows, array.cols
-    exps = array.exponents
+    cols = array.columns()
     values = []
     for v in range(R):
         for h in range(C):
-            counts = [0] * n
-            for i in range(R):
-                base = i * C
-                shifted = ((i + v) % R) * C
-                for j in range(C):
-                    counts[(exps[base + j] - exps[shifted + (j + h) % C]) % n] += 1
-            values.append(CyclotomicInt(n, tuple(counts)))
+            terms = [(cols[j], cols[(j + h) % C], v) for j in range(C)]
+            values.append(CyclotomicInt(n, tuple(diff_counts(terms, n))))
     return CorrelationProfile(n, (R, C), tuple(values), "auto")
 
 
 def projection_autocorrelate(proj: ProjectionSequence) -> CorrelationProfile:
     """Exact autocorrelation of a projection: entries are full cyclotomic
     integers, so each term is a genuine ring product, not an exponent shift."""
-    vals = proj.values
-    L = len(vals)
     n = proj.order
-    out = []
-    for tau in range(L):
-        acc = CyclotomicInt.zero(n)
-        for i in range(L):
-            acc = cyc_add(acc, cyc_mul(vals[i], cyc_conj(vals[(i + tau) % L])))
-        out.append(acc)
-    return CorrelationProfile(n, (L,), tuple(out), "auto")
-
-
-def autocorrelate_float(seq: PhaseSequence) -> CorrelationProfile:
-    """Advisory float autocorrelation (direct summation)."""
-    return crosscorrelate_float(seq, seq, _kind="auto")
-
-
-def crosscorrelate_float(a: PhaseSequence, b: PhaseSequence, *, _kind: str = "cross") -> CorrelationProfile:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    n = a.order
-    roots = root_table(n)
-    L = len(a)
-    ae, be = a.exponents, b.exponents
     values = tuple(
-        sum(roots[(ae[i] - be[(i + tau) % L]) % n] for i in range(L))
-        for tau in range(L)
+        CyclotomicInt(n, tuple(product_counts(proj.values, tau, n)))
+        for tau in range(len(proj))
     )
-    return CorrelationProfile(n, (L,), values, _kind, exact=False)
-
-
-def autocorrelate_2d_float(array: PhaseArray) -> CorrelationProfile:
-    n, R, C = array.order, array.rows, array.cols
-    roots = root_table(n)
-    exps = array.exponents
-    values = []
-    for v in range(R):
-        for h in range(C):
-            acc = 0j
-            for i in range(R):
-                base = i * C
-                shifted = ((i + v) % R) * C
-                for j in range(C):
-                    acc += roots[(exps[base + j] - exps[shifted + (j + h) % C]) % n]
-            values.append(acc)
-    return CorrelationProfile(n, (R, C), tuple(values), "auto", exact=False)
+    return CorrelationProfile(n, (len(proj),), values, "auto")
 
 
 def decomposition_check(array: PhaseArray, qprime: int, rprime: int) -> bool:
@@ -225,15 +186,12 @@ def decomposition_check(array: PhaseArray, qprime: int, rprime: int) -> bool:
     n, R = array.order, array.rows
     seq = flatten(array)
     tau = (qprime * C + rprime) % len(seq)
-    lhs = _diff_counts(seq.exponents, seq.exponents, tau, n)
-
-    rhs = [0] * n
+    lhs = diff_counts(((seq.exponents, seq.exponents, tau),), n)
     cols = array.columns()
-    for r in range(C):
-        partner = (r + rprime) % C
-        shift = qprime + (r + rprime) // C
-        for e, cnt in enumerate(_diff_counts(cols[r], cols[partner], shift % R, n)):
-            rhs[e] += cnt
+    rhs = diff_counts(
+        [(cols[r], cols[(r + rprime) % C], (qprime + (r + rprime) // C) % R) for r in range(C)],
+        n,
+    )
     diff = [x - y for x, y in zip(lhs, rhs)]
     return counts_is_zero(diff, n)
 
@@ -250,24 +208,16 @@ def decomposition_check_all(array: PhaseArray) -> bool:
 def projection_sum_check(array: PhaseArray, tau: int) -> bool:
     """Verify that the column-sum projection's autocorrelation at shift tau
     equals the sum over h of the 2D profile at (tau, h), exactly."""
-    R, C = array.rows, array.cols
+    R = array.rows
     if not 0 <= tau < R:
         raise ValueError(f"tau must be in [0, {R}), got {tau}")
     n = array.order
     proj = column_sum(array)
-    lhs = CyclotomicInt.zero(n)
-    for i in range(R):
-        lhs = cyc_add(lhs, cyc_mul(proj.values[i], cyc_conj(proj.values[(i + tau) % R])))
-
-    exps = array.exponents
-    rhs_counts = [0] * n
-    for h in range(C):
-        for i in range(R):
-            base = i * C
-            shifted = ((i + tau) % R) * C
-            for j in range(C):
-                rhs_counts[(exps[base + j] - exps[shifted + (j + h) % C]) % n] += 1
-    diff = [x - y for x, y in zip(lhs.coeffs, rhs_counts)]
+    lhs = product_counts(proj.values, tau, n)
+    # summing the 2D profile over every h pairs each column with every column
+    cols = array.columns()
+    rhs = diff_counts([(u, v, tau) for u in cols for v in cols], n)
+    diff = [x - y for x, y in zip(lhs, rhs)]
     return counts_is_zero(diff, n)
 
 
@@ -278,14 +228,12 @@ def projection_sum_check_all(array: PhaseArray) -> bool:
 
 def write_profile_csv(profile: CorrelationProfile, stream: TextIO) -> None:
     """CSV export: shift index (or v,h pair), real part, imaginary part, and
-    an exact-zero flag (blank for float profiles)."""
+    an exact-zero flag."""
     two_d = len(profile.shape) == 2
     stream.write("v,h,re,im,exact_zero\n" if two_d else "tau,re,im,exact_zero\n")
     as_complex = profile.to_complex()
     for flat, z in enumerate(as_complex):
-        flag = ""
-        if profile.exact:
-            flag = "1" if profile.values[flat].is_zero() else "0"
+        flag = "1" if profile.values[flat].is_zero() else "0"
         if two_d:
             v, h = divmod(flat, profile.shape[1])
             stream.write(f"{v},{h},{z.real!r},{z.imag!r},{flag}\n")

@@ -35,7 +35,6 @@ __all__ = [
     "cyc_mul",
     "cyc_mul_root",
     "cyc_conj",
-    "cyc_is_zero",
     "cyc_to_complex",
     "counts_is_zero",
     "counts_to_complex",
@@ -171,7 +170,7 @@ def counts_is_zero(coeffs, order: int) -> bool:
     """Exact zero test on a raw coefficient vector (no object wrapper).
 
     This is the hot-loop form used by the correlation kernels and the search
-    engine; `cyc_is_zero` delegates here.
+    engine; `CyclotomicInt.is_zero` delegates here.
     """
     result = True
     for row in reduction_rows(order):
@@ -239,6 +238,8 @@ class CyclotomicInt:
         return cls(order, tuple(coeffs))
 
     def is_zero(self) -> bool:
+        """True iff the element is 0 in Z[w], i.e. the represented polynomial
+        is divisible by the cyclotomic polynomial of its order."""
         return counts_is_zero(self.coeffs, self.order)
 
     def equals(self, other: "CyclotomicInt") -> bool:
@@ -311,12 +312,6 @@ def cyc_conj(a: CyclotomicInt) -> CyclotomicInt:
     """Complex conjugation: w^e maps to w^(n-e)."""
     n = a.order
     return CyclotomicInt(n, (a.coeffs[0],) + a.coeffs[:0:-1])
-
-
-def cyc_is_zero(a: CyclotomicInt) -> bool:
-    """True iff the element is 0 in Z[w], i.e. the represented polynomial is
-    divisible by the cyclotomic polynomial of its order."""
-    return counts_is_zero(a.coeffs, a.order)
 
 
 def cyc_to_complex(a: CyclotomicInt) -> complex:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from .aop import check_condition_1
-from .cyclotomic import CyclotomicInt, root_table
+from .correlation import diff_counts
+from .cyclotomic import CyclotomicInt, counts_is_zero, root_table
 from .indexfn import FlooredIndex
 from .seqmodel import PhaseArray
 
@@ -303,8 +304,9 @@ def fractional_dependence_survey(
     fractional factor.
 
     A pass "depends" on the fractional factor when some column pair has a
-    quadratic-factor-only sum of magnitude above 1e-9 * rows at some shift;
-    a "gaussian only" pass stays orthogonal on the quadratic factors alone.
+    quadratic-factor-only sum, a sum of (nK)-th roots of unity, that is
+    nonzero at some shift, decided exactly by the cyclotomic zero test; a
+    "gaussian only" pass stays orthogonal on the quadratic factors alone.
     """
     m = n * K
     R = m
@@ -316,7 +318,6 @@ def fractional_dependence_survey(
             if not 2 <= c <= m:
                 raise ValueError(f"column counts must lie in [2, {m}], got {c}")
     rng = random.Random(seed)
-    roots = root_table(m)
     examined = 0
     passes = 0
     dependent = 0
@@ -329,22 +330,13 @@ def fractional_dependence_survey(
         if not check_condition_1(spec.generate_array()).holds:
             continue
         passes += 1
-        needs_fractional = False
-        for j1 in range(C):
-            for j2 in range(j1 + 1, C):
-                for tau in range(R):
-                    s = 0j
-                    for i in range(R):
-                        r1 = spec.column_residue(j1, i)
-                        r2 = spec.column_residue(j2, (i + tau) % R)
-                        s += roots[(r1 - r2) % m]
-                    if abs(s) > RECONSTRUCT_TOLERANCE * R:
-                        needs_fractional = True
-                        break
-                if needs_fractional:
-                    break
-            if needs_fractional:
-                break
+        residues = [tuple(spec.column_residue(j, i) for i in range(R)) for j in range(C)]
+        needs_fractional = any(
+            not counts_is_zero(diff_counts(((residues[j1], residues[j2], tau),), m), m)
+            for j1 in range(C)
+            for j2 in range(j1 + 1, C)
+            for tau in range(R)
+        )
         if needs_fractional:
             dependent += 1
         else:

@@ -1,14 +1,23 @@
 """Command surface: round trips, exit codes, file schema failure modes."""
 
+import io
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aopseq import cli
 from aopseq.cyclotomic import ConcordanceAudit
+from aopseq.indexfn import frank_array
+from aopseq.quaternion import QuaternionSequence
 from aopseq.search import SearchSpec, run_search
-from aopseq.seqmodel import PhaseArray, PhaseSequence
+from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_construct_verify_sequence_round_trip(tmp_path):
@@ -296,3 +305,110 @@ def test_verify_echoes_only_settings_it_uses(tmp_path, capsys):
     assert [l.split(":")[0] for l in config] == [
         "config-command", "config-mode", "config-tool-version",
     ]
+
+
+def readme_command_lines() -> list[str]:
+    """Every `aopseq ...` line in the fenced blocks of README's "Command
+    line" section, with backslash continuations joined."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands, fenced, pending = [], False, ""
+    for line in section.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            continue
+        line = pending + line.strip()
+        if line.endswith("\\"):
+            pending = line[:-1]
+            continue
+        pending = ""
+        if line.startswith("aopseq "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch):
+    """The documented commands run in order, each one exiting 0."""
+    commands = readme_command_lines()
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = shlex.split(command)
+        assert cli.main(argv[1:]) == 0, command
+
+
+def _valid_file_texts() -> list[str]:
+    objects = [
+        PhaseSequence(4, (0, 1, 3, 2, 2)),
+        PhaseArray(3, 2, 3, (0, 1, 2, 2, 1, 0)),
+        QuaternionSequence.from_symbols(["1", "i", "-j", "k", "-1"]),
+        column_sum(frank_array(3)),
+    ]
+    texts = []
+    for obj in objects:
+        buf = io.StringIO()
+        cli.write_object(obj, buf, "test", {"seed": 1})
+        texts.append(buf.getvalue())
+    return texts
+
+
+VALID_FILE_TEXTS = _valid_file_texts()
+
+field_values = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.lists(st.integers(-10**6, 10**6), max_size=30).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["", "0", "-1", "1", "1024", "1025", "9" * 30, "1e3", " 3 ", ",", "1,,2",
+                     "1;2", "0,1;1,0", "i,j,k", "x", "phase-array/1", "projection/1"]),
+)
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid file of one of the four formats with one field's value
+    replaced, or the field's line dropped."""
+    lines = draw(st.sampled_from(VALID_FILE_TEXTS)).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    value = draw(st.one_of(st.none(), field_values))
+    if value is None:
+        del lines[k]
+    else:
+        lines[k] = lines[k].split(":", 1)[0] + ": " + value
+    return "\n".join(lines) + "\n"
+
+
+def _read_or_reject(path: Path) -> None:
+    t0 = time.monotonic()
+    try:
+        cli.read_object(path)
+    except cli.CliInputError:
+        pass
+    assert time.monotonic() - t0 < 2.0
+
+
+fuzz_settings = settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@fuzz_settings
+@given(st.one_of(
+    mutated_files(),
+    st.text(),
+    st.builds(lambda tag, body: f"format: {tag}\n{body}",
+              st.sampled_from([t.splitlines()[0].split(": ")[1] for t in VALID_FILE_TEXTS]),
+              st.text()),
+))
+def test_read_object_fuzzed_text_parses_or_raises_input_error(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    _read_or_reject(path)
+
+
+@fuzz_settings
+@given(st.one_of(st.binary(), st.sampled_from(VALID_FILE_TEXTS).map(lambda t: t.encode() + b"\xff\n")))
+def test_read_object_fuzzed_bytes_parse_or_raise_input_error(tmp_path, data):
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(data)
+    _read_or_reject(path)

@@ -1,5 +1,6 @@
 """Correlation kernels: frozen oracles, symmetry laws, exact/float agreement,
-and the two flattening identities used as acceptance harnesses."""
+differential tests of the two shared kernels against direct loops, and the
+two flattening identities used as acceptance harnesses."""
 
 import io
 import random
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 from aopseq.correlation import (
     autocorrelate,
     autocorrelate_2d,
-    autocorrelate_2d_float,
-    autocorrelate_float,
     crosscorrelate,
     decomposition_check_all,
+    diff_counts,
+    product_counts,
     projection_autocorrelate,
     projection_sum_check,
     projection_sum_check_all,
     write_profile_csv,
 )
-from aopseq.cyclotomic import CyclotomicInt
+from aopseq.cyclotomic import CyclotomicInt, cyc_add, cyc_conj, cyc_mul, root_table
 from aopseq.indexfn import frank_array, frank_sequence
 from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum
 
@@ -76,13 +77,105 @@ def test_autocorrelation_hermitian_symmetry(seq):
         assert profile.value(L - tau).equals(profile.value(tau).conjugate())
 
 
+def float_autocorrelation(seq):
+    """Direct float summation, independent of the exact count vectors."""
+    roots = root_table(seq.order)
+    e, L = seq.exponents, len(seq)
+    return [sum(roots[(e[i] - e[(i + tau) % L]) % seq.order] for i in range(L))
+            for tau in range(L)]
+
+
+def float_autocorrelation_2d(arr):
+    roots = root_table(arr.order)
+    e, R, C = arr.exponents, arr.rows, arr.cols
+    return [
+        sum(roots[(e[i * C + j] - e[((i + v) % R) * C + (j + h) % C]) % arr.order]
+            for i in range(R) for j in range(C))
+        for v in range(R) for h in range(C)
+    ]
+
+
 @given(seqs)
 @settings(max_examples=100, deadline=None)
 def test_exact_float_pointwise_agreement(seq):
     exact = autocorrelate(seq).to_complex()
-    fl = autocorrelate_float(seq).values
+    fl = float_autocorrelation(seq)
     for e, f in zip(exact, fl):
         assert abs(e - f) <= 1e-9 * max(len(seq), 1)
+
+
+# every order 2..16, with the composite orders 6, 10, 12 and 15 drawn often
+orders = st.one_of(st.sampled_from((6, 10, 12, 15)), st.integers(2, 16))
+
+
+@st.composite
+def diff_terms(draw):
+    n = draw(orders)
+    exps = st.integers(-3 * n, 3 * n)
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        L = draw(st.integers(1, 8))
+        u = tuple(draw(st.lists(exps, min_size=L, max_size=L)))
+        v = tuple(draw(st.lists(exps, min_size=L, max_size=L)))
+        terms.append((u, v, draw(st.integers(-20, 20))))
+    return n, terms
+
+
+@given(diff_terms())
+@settings(max_examples=300, deadline=None)
+def test_diff_counts_matches_direct_histogram(case):
+    n, terms = case
+    expected = [0] * n
+    for u, v, tau in terms:
+        L = len(u)
+        for i in range(L):
+            expected[(u[i] - v[(i + tau) % L]) % n] += 1
+    assert diff_counts(terms, n) == expected
+
+
+@st.composite
+def phase_arrays(draw):
+    n = draw(orders)
+    R, C = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    exps = draw(st.lists(st.integers(0, n - 1), min_size=R * C, max_size=R * C))
+    return PhaseArray(n, R, C, tuple(exps))
+
+
+@given(phase_arrays())
+@settings(max_examples=200, deadline=None)
+def test_autocorrelate_2d_matches_direct_loop(arr):
+    """Coefficient for coefficient, against the row-major O(L^2) loop."""
+    n, R, C, exps = arr.order, arr.rows, arr.cols, arr.exponents
+    profile = autocorrelate_2d(arr)
+    for v in range(R):
+        for h in range(C):
+            counts = [0] * n
+            for i in range(R):
+                for j in range(C):
+                    counts[(exps[i * C + j] - exps[((i + v) % R) * C + (j + h) % C]) % n] += 1
+            assert profile.value(v, h).coeffs == tuple(counts)
+
+
+@st.composite
+def cyclotomic_lists(draw):
+    n = draw(orders)
+    L = draw(st.integers(1, 6))
+    vals = [
+        CyclotomicInt(n, tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+        for _ in range(L)
+    ]
+    return n, vals, draw(st.integers(0, L - 1))
+
+
+@given(cyclotomic_lists())
+@settings(max_examples=200, deadline=None)
+def test_product_counts_matches_ring_products(case):
+    n, vals, tau = case
+    L = len(vals)
+    expected = CyclotomicInt.zero(n)
+    for i in range(L):
+        expected = cyc_add(expected, cyc_mul(vals[i], cyc_conj(vals[(i + tau) % L])))
+    assert tuple(product_counts(vals, tau, n)) == expected.coeffs
 
 
 def test_cross_of_self_is_auto():
@@ -108,7 +201,7 @@ def test_2d_exact_float_agreement():
         R, C = rng.randint(1, 5), rng.randint(1, 5)
         arr = PhaseArray(n, R, C, tuple(rng.randrange(n) for _ in range(R * C)))
         exact = autocorrelate_2d(arr).to_complex()
-        fl = autocorrelate_2d_float(arr).values
+        fl = float_autocorrelation_2d(arr)
         for e, f in zip(exact, fl):
             assert abs(e - f) <= 1e-9 * (R * C)
 
