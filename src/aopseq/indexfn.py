@@ -99,21 +99,32 @@ class PolyIndex:
         return vec
 
 
+def _coeff_rows(p: PolyIndex) -> list[list[int]]:
+    """The coefficients as rows in y, highest power of x first and, within a
+    row, highest power of y first: the order the Horner evaluation reads."""
+    deg_x, deg_y = p.max_degree
+    return [
+        [p.coeffs.get((a, b), 0) for b in range(deg_y, -1, -1)]
+        for a in range(deg_x, -1, -1)
+    ]
+
+
+def _horner(rows: list[list[int]], m: int, i: int, j: int) -> int:
+    i %= m
+    j %= m
+    total = 0
+    for coeffs in rows:
+        row = 0
+        for c in coeffs:
+            row = (row * j + c) % m
+        total = (total * i + row) % m
+    return total
+
+
 def poly_eval(p: PolyIndex, i: int, j: int) -> int:
     """Evaluate p(i, j) reduced into [0, modulus), Horner style in both
     variables with intermediate mod reduction."""
-    m = p.modulus
-    deg_x, deg_y = p.max_degree
-    i %= m
-    j %= m
-    # Row polynomials in y, highest power of x first for the outer Horner.
-    total = 0
-    for a in range(deg_x, -1, -1):
-        row = 0
-        for b in range(deg_y, -1, -1):
-            row = (row * j + p.coeffs.get((a, b), 0)) % m
-        total = (total * i + row) % m
-    return total
+    return _horner(_coeff_rows(p), p.modulus, i, j)
 
 
 @dataclass(frozen=True)
@@ -167,15 +178,20 @@ def index_periodicity_check(
 
 def generate_poly_array(p: PolyIndex, rows: int, cols: int) -> PhaseArray:
     """R x C array with entry (i, j) carrying exponent p(i, j) mod m; the
-    alphabet order is the polynomial modulus."""
-    exps = [poly_eval(p, i, j) for i in range(rows) for j in range(cols)]
-    return PhaseArray(p.modulus, rows, cols, tuple(exps))
+    alphabet order is the polynomial modulus.  Every cell is evaluated on
+    its own, so the array's periodicity is never assumed."""
+    m = p.modulus
+    coeffs = _coeff_rows(p)
+    exps = [_horner(coeffs, m, i, j) for i in range(rows) for j in range(cols)]
+    return PhaseArray(m, rows, cols, tuple(exps))
 
 
 def generate_floored_array(f: FlooredIndex, rows: int, cols: int) -> PhaseArray:
-    """R x C array over the base alphabet K with entry floor(p(i,j)/n) mod K."""
-    exps = [index_entry(f, i, j) for i in range(rows) for j in range(cols)]
-    return PhaseArray(f.base_order, rows, cols, tuple(exps))
+    """R x C array over the base alphabet K with entry floor(p(i,j)/n) mod K,
+    every cell evaluated on its own."""
+    exps = generate_poly_array(f.poly, rows, cols).exponents
+    K = f.base_order
+    return PhaseArray(K, rows, cols, tuple(e // f.divisor % K for e in exps))
 
 
 def column_duplication_witness(

@@ -30,6 +30,11 @@ unit and leaves its autocorrelation unchanged, so both AOP conditions keep
 their truth values for every (R, C).  On top of that, each distinct head
 tile gets one verdict row, its class verdicts for every tail, so a
 candidate's verdicts are one lookup; tallies are kept per verdict tuple.
+A class's verdicts take one pass per row count R over its first
+min(max C, period) columns: condition 1 at C is condition 1 at C - 1 plus
+the pairs of column C - 1, so every C together cost one condition-1 check
+of the widest; condition 2 at C zero-tests a running sum of the column
+autocorrelations, one test per shift up to its first nonzero one.
 Both memos live for the whole sweep in each process (the serial loop or one
 pool worker) and never across sweeps.  Blocks return compact hit records,
 (index, verdicts), until they hold `hit_limit` hits; the parent keeps the
@@ -37,11 +42,13 @@ first `hit_limit` in block order and builds report entries only for those.
 
 One candidate in a hundred is re-checked the slow way: its tile is built
 directly from the coefficient vector and must equal the composed tile, the
-array is regenerated directly from the index function, the duplicate columns
-are compared entrywise, and the pruned combinations are re-run through the
-full check.  The sampled candidate's own raw tile, once per distinct raw
-tile per sweep, also gets its verdicts recomputed and compared with its
-class's verdicts, which keeps the quotient itself under a direct check.
+array is regenerated directly from the index function (every cell evaluated
+on its own) and its columns built once, the duplicate columns are compared
+entrywise, and for each R one verdict pass over the first max C direct
+columns re-decides every pruned (R, C).  The sampled candidate's own raw
+tile, once per distinct raw tile per sweep, also gets its verdicts
+recomputed and compared with its class's verdicts, which keeps the quotient
+itself under a direct check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -77,7 +84,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .aop import _aop_holds_columns, check_aop, is_perfect_sequence
+from .aop import _aop_holds_widths, check_aop, is_perfect_sequence
 from .cyclotomic import audit
 from .indexfn import (
     FlooredIndex,
@@ -280,17 +287,34 @@ def _collapse_suffixes(spec: SearchSpec) -> Optional[list[tuple[int, ...]]]:
     return _collapse_leading_tuples(spec.coeff_modulus, spec.n, spec.deg_y + 1)
 
 
-def _index_space_size(
-    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
-) -> int:
+def _collapse_suffix_count(spec: SearchSpec) -> Optional[int]:
+    """len(_collapse_suffixes(spec)) without enumerating a tuple; None when
+    that is None.
+
+    With m = nK, A(j) mod m mod n is A(j) mod n, so a tuple qualifies iff its
+    residue mod n is a polynomial of degree < w = deg_y + 1 that vanishes on
+    every residue mod n, and each such residue has K^w lifts.  In the
+    falling-factorial basis, unimodular over Z, that polynomial is
+    sum_i b_i (x)_i with i! b_i = (its i-th forward difference at 0) = 0 mod
+    n, which gcd(n, i!) values of b_i satisfy."""
+    if spec.restriction != "collapse" or spec.deg_x < 2:
+        return None
+    width = spec.deg_y + 1
+    count = spec.k**width
+    for i in range(width):
+        count *= math.gcd(spec.n, math.factorial(i))
+    return count
+
+
+def _index_space_size(spec: SearchSpec, suffix_count: Optional[int]) -> int:
     if spec.family == "raw-phase":
         return spec.n**spec.length
     if spec.family == "raw-quaternion":
         return 8**spec.length
     m = spec.coeff_modulus
-    if suffixes is None:
+    if suffix_count is None:
         return m**spec.vector_width
-    return m ** (spec.vector_width - spec.deg_y - 1) * len(suffixes)
+    return m ** (spec.vector_width - spec.deg_y - 1) * suffix_count
 
 
 def _blocks(total: int) -> list[tuple[int, int]]:
@@ -390,17 +414,18 @@ def _tile_verdicts(
     r_range: tuple[int, int],
     c_range: tuple[int, int],
 ) -> list[tuple[int, int]]:
+    # column counts beyond the period are skipped: columns 0 and `period` are
+    # the same residue column, their shift-0 inner product is R, so condition
+    # 1 cannot hold
+    widths = min(c_range[1], period)
+    c_values = range(c_range[0], widths + 1)
     out = []
+    if not c_values:
+        return out
     for R in _dim_values(r_range):
         reps = -(-R // period)
-        cols_r = [(tc * reps)[:R] for tc in tile_cols]
-        for C in _dim_values(c_range):
-            if C > period:
-                # columns 0 and `period` are the same residue column; their
-                # shift-0 inner product is R, so condition 1 cannot hold
-                continue
-            if _aop_holds_columns(cols_r[:C], R, order):
-                out.append((R, C))
+        holds = _aop_holds_widths([(tc * reps)[:R] for tc in tile_cols[:widths]], R, order)
+        out.extend((R, C) for C in c_values if holds[C - 1])
     return out
 
 
@@ -426,10 +451,11 @@ def _spot_verify(
     """Slow-path cross-check for one sampled candidate.
 
     Regenerates the array straight from the index function, confirms the
-    tile matches, confirms the duplicated column equals column 0 entrywise,
-    and re-runs every pruned (R, C) combination through the full check.
-    Returns the number of verification units (tile confirmation plus each
-    prune decision re-examined); raises on any mismatch.
+    tile matches, and for each R confirms the duplicated column equals
+    column 0 entrywise and re-decides every pruned (R, C) combination with
+    one verdict pass over the direct columns.  Returns the number of
+    verification units (tile confirmation plus each prune decision
+    re-examined); raises on any mismatch.
     """
     period = spec.coeff_modulus
     order = spec.alphabet_order
@@ -445,24 +471,23 @@ def _spot_verify(
                     f"for vector {vector}"
                 )
     checked = 1
-    for R in _dim_values(spec.r_range):
-        dup = tuple(direct.column(period)[:R])
-        base = tuple(direct.column(0)[:R])
-        for C in _dim_values(spec.c_range):
-            if C <= period:
-                continue
-            if dup != base:
+    pruned = range(max(spec.c_range[0], period + 1), c_hi + 1)
+    if pruned:
+        columns = [direct.column(j) for j in range(c_hi)]
+        for R in _dim_values(spec.r_range):
+            if columns[period][:R] != columns[0][:R]:
                 raise AssertionError(
                     f"columns 0 and {period} differ under direct generation "
                     f"for vector {vector}"
                 )
-            cols = [tuple(direct.column(j)[:R]) for j in range(C)]
-            if _aop_holds_columns(cols, R, order):
-                raise AssertionError(
-                    f"full check accepted pruned combination {(R, C)} "
-                    f"for vector {vector}"
-                )
-            checked += 1
+            holds = _aop_holds_widths([col[:R] for col in columns], R, order)
+            for C in pruned:
+                if holds[C - 1]:
+                    raise AssertionError(
+                        f"full check accepted pruned combination {(R, C)} "
+                        f"for vector {vector}"
+                    )
+                checked += 1
     for R, C in verdicts:
         arr = _generate_direct(spec, fn, R, C)
         if not check_aop(arr).holds:
@@ -860,6 +885,8 @@ def _block_results(
 ):
     """Each block's result in block order, yielded as soon as it and every
     block before it are done."""
+    if not blocks:
+        return
     if spec.workers <= 1 or len(blocks) <= 1:
         memo = _SweepMemo(spec, suffixes)
         for b in blocks:
@@ -877,17 +904,23 @@ def run_search(spec: SearchSpec) -> SearchReport:
     `progress_every` > 0 the calling process prints one line per completed
     block to stderr: candidates so far, their rate and the time left."""
     t0 = time.monotonic()
-    suffixes = _collapse_suffixes(spec)
-    space_size = _index_space_size(spec, suffixes)
+    index_family = spec.family in ("poly", "floored")
+    suffix_count = _collapse_suffix_count(spec)
+    space_size = _index_space_size(spec, suffix_count)
     total = space_size
-    if spec.family in ("poly", "floored"):
+    if index_family:
         if spec.r_range[1] < spec.r_range[0] or spec.c_range[1] < spec.c_range[0]:
             total = 0
     if total > spec.budget:
         raise BudgetExceeded(total, spec.budget)
+    # an empty sweep runs no block, so it never enumerates its suffixes
+    suffixes = _collapse_suffixes(spec) if total else None
+    if suffixes is not None and len(suffixes) != suffix_count:
+        raise AssertionError(
+            f"{len(suffixes)} collapse suffixes enumerated, {suffix_count} counted"
+        )
     # raw-quaternion blocks cut the orbit representatives, one per 8 sequences
     blocks = _blocks(total // 8 if spec.family == "raw-quaternion" else total)
-    index_family = spec.family in ("poly", "floored")
     kept: list = []
     room = spec.hit_limit
     quat_results: list[dict] = []

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine criteria, each recording one PASS/FAIL line.
+"""Acceptance gate: twelve criteria, each recording one PASS/FAIL line.
 
 The lines land in CRITERION_LINES, which the conftest terminal-summary hook
 echoes after the run so they stay visible under output capture; every
@@ -7,6 +7,7 @@ Expensive sweeps run once in module-scoped fixtures and are shared between
 the criteria that consume them.
 """
 
+import json
 import random
 import sys
 import time
@@ -388,4 +389,69 @@ def test_criterion_9_concordance_and_refutation_grade(
         info["detail"] = (
             f"{checked} exact/float comparisons, 0 disagreements; no bound "
             f"violations observed; violation exit code is 3"
+        )
+
+
+def _poly_sweep_through_cli(tmp_path, n):
+    """The deg 2 poly sweep over R, C <= n^2 with 2 workers, run through the
+    CLI so that a bound violation would surface as exit 3."""
+    out = tmp_path / f"poly{n}.json"
+    t0 = time.monotonic()
+    code = cli.main([
+        "search", "--family", "poly", "--n", str(n), "--max-r", str(n * n),
+        "--max-c", str(n * n), "--jobs", "2", "--out", str(out),
+    ])
+    elapsed = time.monotonic() - t0
+    assert code == cli.EXIT_OK, f"exit {code}"
+    return json.loads(out.read_text()), elapsed
+
+
+def test_criterion_10_poly_n4_reaches_n_squared(tmp_path):
+    """poly n=4 deg 2, R, C <= 16 (4^9 functions): the longest AOP structure
+    has n^2 = 16 cells, all of them 4x4, 16384 in total."""
+    info = {}
+    with criterion(10, info):
+        report, elapsed = _poly_sweep_through_cli(tmp_path, 4)
+        assert report["total_candidates"] == 4**9
+        assert report["max_hit_length"] == 16 and not report["bound_violated"]
+        assert report["hit_histogram"]["4x4"] == 16384
+        info["detail"] = (
+            f"max {report['max_hit_length']} = n^2, 4x4 {report['hit_histogram']['4x4']}, "
+            f"{report['spot_checks']} spot units, {elapsed:.1f}s with 2 workers"
+        )
+
+
+def test_criterion_11_floored_n3_k2_collapse():
+    """floored n=3 K=2 deg 2 collapse-restricted, R, C <= 12, 2 workers:
+    nothing exceeds n^2 K^2 = 36.  The longest structure is reported
+    against K^2 = 4, not asserted."""
+    info = {}
+    with criterion(11, info):
+        t0 = time.monotonic()
+        report = run_search(SearchSpec(
+            family="floored", n=3, k=2, deg_x=2, deg_y=2, r_range=(1, 12),
+            c_range=(1, 12), restriction="collapse", workers=2,
+        ))
+        elapsed = time.monotonic() - t0
+        assert report.bound_limit == 36 and not report.bound_violated
+        info["detail"] = (
+            f"max {report.max_hit_length} (K^2 = 4) within bound 36, histogram "
+            f"{report.hit_histogram}, {elapsed:.1f}s with 2 workers"
+        )
+
+
+def test_criterion_12_poly_n5_reaches_n_squared(tmp_path):
+    """poly n=5 deg 2, R, C <= 25 (5^9 functions): the longest AOP structure
+    has n^2 = 25 cells, all of them 5x5, and every sampled candidate's
+    pruned combinations are re-checked: 9,785,532 spot units."""
+    info = {}
+    with criterion(12, info):
+        report, elapsed = _poly_sweep_through_cli(tmp_path, 5)
+        assert report["total_candidates"] == 5**9
+        assert report["max_hit_length"] == 25 and not report["bound_violated"]
+        assert report["hit_histogram"]["5x5"] == 2500
+        assert report["spot_checks"] == 9_785_532
+        info["detail"] = (
+            f"max {report['max_hit_length']} = n^2, 5x5 {report['hit_histogram']['5x5']}, "
+            f"{report['spot_checks']} spot units, {elapsed:.1f}s with 2 workers"
         )

@@ -2,10 +2,11 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aopseq.aop import (
+    _aop_holds_widths,
     aop_implies_perfect,
     check_aop,
     check_condition_1,
@@ -169,3 +170,52 @@ def test_condition_1_witness_matches_full_scan(arr):
     verdict = check_condition_1(arr)
     assert verdict.witness == _full_scan_condition_1_witness(arr)
     assert verdict.holds == (verdict.witness is None)
+
+
+@st.composite
+def periodic_column_sets(draw):
+    """Up to three periods of rows and columns of a period x period tile: a
+    Frank tile of a divisor of the order (exponents scaled up, columns
+    permuted and phased) or a random one, sometimes with a few entries
+    changed.  Columns j and j + period repeat unless an entry was changed."""
+    order = draw(st.one_of(st.sampled_from([6, 10, 12, 15]), st.sampled_from(ORDERS)))
+    divisors = [d for d in range(1, 6) if order % d == 0]
+    period = draw(st.sampled_from(divisors) if draw(st.booleans()) else st.integers(1, 5))
+    if order % period == 0 and draw(st.integers(0, 3)):
+        step = order // period
+        perm = draw(st.permutations(range(period)))
+        phases = draw(st.lists(st.integers(0, order - 1), min_size=period,
+                               max_size=period))
+        tile = [
+            [(i * perm[j] * step + phases[j]) % order for i in range(period)]
+            for j in range(period)
+        ]
+    else:
+        tile = [
+            draw(st.lists(st.integers(0, order - 1), min_size=period, max_size=period))
+            for _ in range(period)
+        ]
+    rows = draw(st.one_of(st.just(period), st.integers(1, 3 * period)))
+    width = draw(st.integers(1, 3 * period))
+    cols = [[tile[j % period][i % period] for i in range(rows)] for j in range(width)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        j = draw(st.integers(0, width - 1))
+        cols[j][draw(st.integers(0, rows - 1))] = draw(st.integers(0, order - 1))
+    return order, rows, [tuple(c) for c in cols]
+
+
+@given(periodic_column_sets())
+@settings(max_examples=400, deadline=None)
+# orthogonal at shift 0 and complementary (theta(1) = +-sqrt 3), but not
+# orthogonal at shift 1: only condition 1 past shift 0 rejects width 2
+@example((12, 2, [(0, 1), (5, 0)]))
+def test_widths_pass_matches_check_aop_at_every_width(case):
+    """The search engine's one-pass verdicts for every prefix width C equal
+    the public check of the R x C array of the first C columns."""
+    order, rows, cols = case
+    expected = [
+        check_aop(PhaseArray(order, rows, width,
+                             tuple(c[i] for i in range(rows) for c in cols[:width]))).holds
+        for width in range(1, len(cols) + 1)
+    ]
+    assert _aop_holds_widths(cols, rows, order) == expected

@@ -165,6 +165,47 @@ def test_search_cli_budget_and_bad_spec(tmp_path, capsys):
     assert cli.main(["search", "--family", "bogus", "--n", "2"]) == 2
 
 
+def collapse_space_n3_k4(deg_y):
+    """Exact size of the floored n=3 K=4 collapse space: 12^(2w) free
+    prefixes times 4^w * 3^(w-3) suffixes, w = deg_y + 1 (a null polynomial
+    mod 3 of degree < w has falling-factorial coefficients b_i with
+    i! b_i = 0 mod 3, any b_i for i >= 3)."""
+    w = deg_y + 1
+    return 12 ** (2 * w) * 4**w * 3 ** (w - 3)
+
+
+@pytest.mark.parametrize("deg_y", [8, 6])
+def test_oversized_collapse_enumeration_exits_two_quickly(deg_y, capsys):
+    """floored n=3 K=4 would enumerate 12^(deg_y+1) quadratic-row tuples for
+    its collapse suffixes; the space is counted in closed form, so the
+    refusal, with the exact count, comes before any tuple is tested."""
+    t0 = time.monotonic()
+    code = cli.main(
+        ["search", "--family", "floored", "--n", "3", "--k", "4", "--deg-y",
+         str(deg_y), "--restriction", "collapse", "--max-r", "2", "--max-c", "2"]
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 2
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
+    err = capsys.readouterr().err
+    assert f"candidate space holds {collapse_space_n3_k4(deg_y)} entries" in err
+    assert f"budget {10**8}" in err
+
+
+def test_empty_collapse_sweep_reports_its_space_quickly(capsys):
+    t0 = time.monotonic()
+    code = cli.main(
+        ["search", "--family", "floored", "--n", "3", "--k", "4", "--deg-y", "6",
+         "--restriction", "collapse", "--min-r", "2", "--max-r", "1"]
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
+    report = json.loads(capsys.readouterr().out)
+    assert report["total_candidates"] == 0
+    assert report["space_size"] == collapse_space_n3_k4(6)
+
+
 def test_search_cli_bound_violation_exits_three(tmp_path, monkeypatch, capsys):
     real = run_search(
         SearchSpec(family="poly", n=2, deg_x=1, deg_y=1,

@@ -306,13 +306,13 @@ def test_tile_verdicts_invariant_under_column_phases(case):
 
 def test_no_verdict_memo_carries_across_sweeps(monkeypatch):
     calls = []
-    real = search._aop_holds_columns
+    real = search._aop_holds_widths
 
     def counting(cols, rows, order):
         calls.append(rows)
         return real(cols, rows, order)
 
-    monkeypatch.setattr(search, "_aop_holds_columns", counting)
+    monkeypatch.setattr(search, "_aop_holds_widths", counting)
     spec = SearchSpec(family="poly", n=2, deg_x=2, deg_y=2,
                       r_range=(1, 4), c_range=(1, 4))
     first = run_search(spec)
@@ -417,6 +417,18 @@ def test_collapse_suffixes_computed_once_per_sweep(monkeypatch):
     assert len(report.worker_chunks) > 1
     assert report.total_candidates == 3**9
     assert calls == [(3, 1, 3)]
+
+
+@pytest.mark.parametrize("n,k,deg_y", [
+    (1, 3, 2), (2, 2, 2), (3, 1, 3), (4, 1, 4), (6, 1, 3), (2, 3, 3), (3, 2, 2),
+    (8, 1, 4), (12, 1, 3), (5, 1, 4),
+])
+def test_collapse_suffix_count_matches_enumeration(n, k, deg_y):
+    spec = SearchSpec(family="floored", n=n, k=k, deg_x=2, deg_y=deg_y,
+                      restriction="collapse")
+    count = search._collapse_suffix_count(spec)
+    assert count == len(_collapse_leading_tuples(n * k, n, deg_y + 1))
+    assert count == len(search._collapse_suffixes(spec))
 
 
 def reference_index_sweep(spec):
@@ -587,7 +599,10 @@ def test_progress_lines_come_from_the_parent(workers, capfd):
     spec = SearchSpec(family="floored", n=2, k=2, deg_x=3, deg_y=1,
                       r_range=(2, 3), c_range=(2, 3), workers=workers)
     quiet = run_search(spec)
+    assert len(quiet.worker_chunks) > 1
     assert capfd.readouterr().err == ""
+    # the quiet run is the default spec, and the default is progress_every=0
+    assert spec.progress_every == 0
     loud = run_search(replace(spec, progress_every=1))
     lines = capfd.readouterr().err.splitlines()
     assert loud.canonical_json() == quiet.canonical_json()
