@@ -24,6 +24,7 @@ from typing import Optional
 
 from .cyclotomic import CyclotomicInt, counts_is_zero
 from .correlation import (
+    _array_shift_terms,
     autocorrelate_2d,
     diff_counts,
     product_counts,
@@ -169,9 +170,12 @@ def is_perfect_sequence(seq: PhaseSequence) -> bool:
 
 
 def is_perfect_array(array: PhaseArray) -> bool:
-    """All off-peak entries of the 2D autocorrelation are zero."""
-    profile = autocorrelate_2d(array)
-    return profile.is_perfect()
+    """All off-peak entries of the 2D autocorrelation are zero, tested in
+    row-major (v, h) order up to the first nonzero one."""
+    n = array.order
+    shifts = _array_shift_terms(array)
+    next(shifts)  # the peak (0, 0)
+    return all(counts_is_zero(diff_counts(terms, n), n) for terms in shifts)
 
 
 def is_perfect_projection(proj: ProjectionSequence) -> bool:
@@ -209,8 +213,7 @@ def perfect_array_projection_check(array: PhaseArray) -> bool:
     exactly, and (entries being unimodular) the projection cannot be
     degenerate.  Vacuously True for imperfect arrays.
     """
-    profile = autocorrelate_2d(array)
-    if not profile.is_perfect():
+    if not is_perfect_array(array):
         return True
     cols_proj = column_sum(array)
     rows_proj = row_sum(array)
@@ -222,6 +225,6 @@ def perfect_array_projection_check(array: PhaseArray) -> bool:
     array_peak = CyclotomicInt.integer(array.order, array.rows * array.cols)
     if not peak.equals(array_peak):
         return False
-    if not peak.equals(profile.peak()):
+    if not peak.equals(autocorrelate_2d(array).peak()):
         return False
     return True

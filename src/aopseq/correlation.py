@@ -12,12 +12,22 @@ Two-dimensional shifts are ordered (vertical, horizontal) everywhere: the
 profile entry for shift pair (v, h) sits at flat index v*C + h.  Sources vary
 on this ordering; this package states the convention once and sticks to it.
 
+The terms of the 2D autocorrelation at each (v, h) come from one generator,
+`_array_shift_terms`, which `autocorrelate_2d` and the early-exit
+`aop.is_perfect_array` both consume.  Each flattening identity is written
+once, as a single-shift helper (`_decomposition_holds`,
+`_projection_sum_holds`); the public single-shift checks call it, and the
+`_all` forms call it at every shift with the flattening, the columns and
+the projection built once per array.  The two sides of each identity stay
+independent computations.
+
 The direct O(L^2) accumulation is the reference path for every verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import sub
 from typing import TextIO
 
@@ -147,17 +157,31 @@ def crosscorrelate(a: PhaseSequence, b: PhaseSequence, *, _kind: str = "cross") 
     return CorrelationProfile(n, (len(a),), values, _kind)
 
 
+def _array_shift_terms(array: PhaseArray):
+    """Yield the `diff_counts` terms of the 2D autocorrelation at each shift
+    pair (v, h), in row-major order starting at the peak (0, 0).
+
+    With the columns laid end to end (column-major), column j meets column
+    j+h shifted down by v exactly when the whole run meets the run of
+    down-shifted columns rotated by h*R, so each shift pair is one term.
+    """
+    R, C = array.rows, array.cols
+    cols = array.columns()
+    run = tuple(chain.from_iterable(cols))
+    for v in range(R):
+        down = tuple(chain.from_iterable(col[v:] + col[:v] for col in cols))
+        for h in range(C):
+            yield ((run, down, h * R),)
+
+
 def autocorrelate_2d(array: PhaseArray) -> CorrelationProfile:
     """Exact 2D periodic autocorrelation, indexed by shift pair (v, h): column
     j meets column j+h shifted down by v."""
-    n, R, C = array.order, array.rows, array.cols
-    cols = array.columns()
-    values = []
-    for v in range(R):
-        for h in range(C):
-            terms = [(cols[j], cols[(j + h) % C], v) for j in range(C)]
-            values.append(CyclotomicInt(n, tuple(diff_counts(terms, n))))
-    return CorrelationProfile(n, (R, C), tuple(values), "auto")
+    n = array.order
+    values = tuple(
+        CyclotomicInt(n, tuple(diff_counts(terms, n))) for terms in _array_shift_terms(array)
+    )
+    return CorrelationProfile(n, (array.rows, array.cols), values, "auto")
 
 
 def projection_autocorrelate(proj: ProjectionSequence) -> CorrelationProfile:
@@ -169,6 +193,18 @@ def projection_autocorrelate(proj: ProjectionSequence) -> CorrelationProfile:
         for tau in range(len(proj))
     )
     return CorrelationProfile(n, (len(proj),), values, "auto")
+
+
+def _decomposition_holds(seq, cols, qprime: int, rprime: int, order: int) -> bool:
+    # the flattened sequence's autocorrelation against the column pairs
+    C, R = len(cols), len(cols[0])
+    tau = (qprime * C + rprime) % len(seq)
+    lhs = diff_counts(((seq, seq, tau),), order)
+    rhs = diff_counts(
+        [(cols[r], cols[(r + rprime) % C], (qprime + (r + rprime) // C) % R) for r in range(C)],
+        order,
+    )
+    return counts_is_zero(list(map(sub, lhs, rhs)), order)
 
 
 def decomposition_check(array: PhaseArray, qprime: int, rprime: int) -> bool:
@@ -183,26 +219,28 @@ def decomposition_check(array: PhaseArray, qprime: int, rprime: int) -> bool:
     C = array.cols
     if not 0 <= rprime < C:
         raise ValueError(f"rprime must be in [0, {C}), got {rprime}")
-    n, R = array.order, array.rows
-    seq = flatten(array)
-    tau = (qprime * C + rprime) % len(seq)
-    lhs = diff_counts(((seq.exponents, seq.exponents, tau),), n)
-    cols = array.columns()
-    rhs = diff_counts(
-        [(cols[r], cols[(r + rprime) % C], (qprime + (r + rprime) // C) % R) for r in range(C)],
-        n,
+    return _decomposition_holds(
+        flatten(array).exponents, array.columns(), qprime, rprime, array.order
     )
-    diff = [x - y for x, y in zip(lhs, rhs)]
-    return counts_is_zero(diff, n)
 
 
 def decomposition_check_all(array: PhaseArray) -> bool:
-    """Run `decomposition_check` over every shift pair (q', r')."""
+    """The identity of `decomposition_check` at every shift pair (q', r'),
+    with the flattening and the columns built once."""
+    seq, cols = flatten(array).exponents, array.columns()
     return all(
-        decomposition_check(array, qprime, rprime)
+        _decomposition_holds(seq, cols, qprime, rprime, array.order)
         for qprime in range(array.rows)
         for rprime in range(array.cols)
     )
+
+
+def _projection_sum_holds(values, cols, tau: int, order: int) -> bool:
+    # ring products of the projection against exponent differences; summing
+    # the 2D profile over every h pairs each column with every column
+    lhs = product_counts(values, tau, order)
+    rhs = diff_counts([(u, v, tau) for u in cols for v in cols], order)
+    return counts_is_zero(list(map(sub, lhs, rhs)), order)
 
 
 def projection_sum_check(array: PhaseArray, tau: int) -> bool:
@@ -211,19 +249,16 @@ def projection_sum_check(array: PhaseArray, tau: int) -> bool:
     R = array.rows
     if not 0 <= tau < R:
         raise ValueError(f"tau must be in [0, {R}), got {tau}")
-    n = array.order
-    proj = column_sum(array)
-    lhs = product_counts(proj.values, tau, n)
-    # summing the 2D profile over every h pairs each column with every column
-    cols = array.columns()
-    rhs = diff_counts([(u, v, tau) for u in cols for v in cols], n)
-    diff = [x - y for x, y in zip(lhs, rhs)]
-    return counts_is_zero(diff, n)
+    return _projection_sum_holds(column_sum(array).values, array.columns(), tau, array.order)
 
 
 def projection_sum_check_all(array: PhaseArray) -> bool:
-    """Run `projection_sum_check` at every vertical shift."""
-    return all(projection_sum_check(array, tau) for tau in range(array.rows))
+    """The identity of `projection_sum_check` at every vertical shift, with
+    the projection and the columns built once."""
+    values, cols = column_sum(array).values, array.columns()
+    return all(
+        _projection_sum_holds(values, cols, tau, array.order) for tau in range(array.rows)
+    )
 
 
 def write_profile_csv(profile: CorrelationProfile, stream: TextIO) -> None:

@@ -4,11 +4,26 @@ of unity.
 Elements use the group-ring representation: a vector of n integer
 coefficients, entry e counting occurrences of w^e.  This keeps correlation
 accumulation allocation-light (adding a root of unity is a single counter
-increment) and defers all reduction to the zero test, which divides the
-represented polynomial by the n-th cyclotomic polynomial.  Divisibility by
-that minimal polynomial is the exact criterion for representing 0, so every
-orthogonality verdict in this package is an integer computation, never a
-floating-point guess.
+increment) and defers all reduction to the zero test, which decides by the
+structure of vanishing sums (Lam & Leung, "On vanishing sums of roots of
+unity", J. Algebra 2000):
+
+- For a prime power n = p^k with s = n/p, the sum vanishes iff every coset
+  of the order-p subgroup {w^(ts)} carries one constant count, i.e. iff
+  c[e] == c[e + s] for every e < n - s.  The minimal polynomial of w is
+  Phi_p(X^s), of degree n - s, and the map c -> (c[e] - c[e + s]) for
+  e < n - s is onto Z^(n - s) with the same kernel as evaluation at w.
+- For n = q_1 ... q_k, k >= 2 pairwise coprime prime powers, e -> (e mod q_i)
+  identifies Z[w_n] with the tensor product of the Z[w_(q_i)], whose power
+  bases multiply to a Z-basis.  Evaluation at w is then the tensor product
+  of the prime-power maps above, so the sum vanishes iff its k-fold mixed
+  difference (coordinate i shifted by s_i = q_i/p_i) is 0 at every point x
+  with x_i < q_i - s_i.
+
+Both tests are integer comparisons, so every orthogonality verdict in this
+package is an integer computation, never a floating-point guess.
+`reduction_rows` (division by the cyclotomic polynomial) stays as the
+independent reference the tests compare the structural test against.
 
 Coefficients are plain Python integers and therefore cannot overflow or wrap.
 
@@ -24,6 +39,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter, mul, sub
 
 __all__ = [
     "CyclotomicInt",
@@ -146,7 +163,8 @@ def reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
 
     Row d, column e holds the coefficient of X^d in (X^e mod Phi_n).  A value
     is zero in the ring iff every row contracted with its coefficient vector
-    vanishes.
+    vanishes.  This is the division-based reference for `counts_is_zero`;
+    it costs phi(n) x n integers per order, so no verdict path uses it.
     """
     phi = cyclotomic_polynomial(order).coefficients
     deg = len(phi) - 1
@@ -166,22 +184,76 @@ def root_table(order: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * (e / order)) for e in range(order))
 
 
+def _prime_power_factors(order: int) -> list[tuple[int, int]]:
+    """(p, p^a) for each prime p dividing `order` exactly a times."""
+    factors, p = [], 2
+    while order > 1:
+        if p * p > order:
+            p = order
+        q = 1
+        while order % p == 0:
+            order //= p
+            q *= p
+        if q > 1:
+            factors.append((p, q))
+        p += 1
+    return factors
+
+
+def _zero_plan(order: int) -> tuple:
+    """(s, stages) for `counts_is_zero`.
+
+    The axes are the prime-power factors q_i = p_i^a_i of `order`, largest
+    prime first; exponent e sits at the point (e mod q_0, e mod q_1, ...).
+    Each stage is a pair of `itemgetter` gathers whose difference is the
+    difference along one axis i > 0 (shift s_i = q_i/p_i, keeping the box
+    x_i < q_i - s_i), laid out row-major.  Axis 0 is outermost, so its
+    difference is the slice comparison at offset s.  A prime power has no
+    stage and s = q/p; order 1 has s = 0.
+    """
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    factors = sorted(_prime_power_factors(order), reverse=True)
+    if not factors:
+        return 0, ()
+    # CRT: unit i is 1 mod q_i and 0 mod every other factor
+    units = [(order // q) * pow(order // q, -1, q) for _, q in factors]
+    sizes = [q for _, q in factors]
+    position = {x: sum(map(mul, x, units)) % order for x in product(*map(range, sizes))}
+    stages = []
+    for i, (p, q) in enumerate(factors[1:], 1):
+        step = q // p
+        sizes[i] = q - step
+        points = list(product(*map(range, sizes)))
+        shifted = [x[:i] + (x[i] + step,) + x[i + 1 :] for x in points]
+        stages.append((itemgetter(*[position[x] for x in points]),
+                       itemgetter(*[position[x] for x in shifted])))
+        position = {x: j for j, x in enumerate(points)}
+    p, q = factors[0]
+    return (q // p) * math.prod(sizes[1:]), tuple(stages)
+
+
+_zero_plans: dict[int, tuple] = {}
+
+
 def counts_is_zero(coeffs, order: int) -> bool:
     """Exact zero test on a raw coefficient vector (no object wrapper).
 
     This is the hot-loop form used by the correlation kernels and the search
-    engine; `CyclotomicInt.is_zero` delegates here.
+    engine; `CyclotomicInt.is_zero` delegates here.  It decides by the
+    structural criterion of the module docstring: the mixed difference over
+    the coprime prime-power factors of `order` must vanish on its box, which
+    at a prime power is one slice comparison.  `coeffs` is a list or tuple
+    of `order` integers.
     """
-    result = True
-    for row in reduction_rows(order):
-        s = 0
-        for e in range(order):
-            ce = coeffs[e]
-            if ce:
-                s += row[e] * ce
-        if s != 0:
-            result = False
-            break
+    try:
+        s, stages = _zero_plans[order]
+    except KeyError:
+        s, stages = _zero_plans[order] = _zero_plan(order)
+    diff = coeffs
+    for plus, minus in stages:
+        diff = list(map(sub, plus(diff), minus(diff)))
+    result = diff[:-s] == diff[s:] if s else not diff[0]
     if audit.enabled:
         audit.record(result, coeffs, order)
     return result

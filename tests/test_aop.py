@@ -1,10 +1,12 @@
 """Orthogonality predicates: witnesses, known families, implication harnesses."""
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import aopseq.aop
 from aopseq.aop import (
     _aop_holds_widths,
     aop_implies_perfect,
@@ -12,14 +14,16 @@ from aopseq.aop import (
     check_condition_1,
     check_condition_2,
     is_degenerate_projection,
+    is_perfect_array,
     is_perfect_projection,
     is_perfect_sequence,
     perfect_array_projection_check,
 )
-from aopseq.correlation import autocorrelate, crosscorrelate
-from aopseq.cyclotomic import CyclotomicInt
+from aopseq.correlation import autocorrelate, autocorrelate_2d, crosscorrelate
+from aopseq.cyclotomic import CyclotomicInt, counts_is_zero
 from aopseq.indexfn import frank_array
 from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum
+from test_correlation import verify_arrays
 
 
 def test_frank_arrays_satisfy_both_conditions():
@@ -105,6 +109,33 @@ def test_perfect_array_projections_never_refuted():
         R, C = rng.randint(1, 4), rng.randint(1, 4)
         arr = PhaseArray(n, R, C, tuple(rng.randrange(n) for _ in range(R * C)))
         assert perfect_array_projection_check(arr)
+
+
+@given(verify_arrays())
+@settings(max_examples=300, deadline=None)
+def test_is_perfect_array_matches_profile_and_stops_at_first_nonzero(arr):
+    """Same verdict as the full profile, after one zero test per off-peak
+    shift up to and including the first nonzero one in row-major order."""
+    offpeak = autocorrelate_2d(arr).values[1:]
+    nonzero = [i for i, value in enumerate(offpeak) if not value.is_zero()]
+    tests = []
+
+    def counted(coeffs, order):
+        tests.append(order)
+        return counts_is_zero(coeffs, order)
+
+    with mock.patch.object(aopseq.aop, "counts_is_zero", counted):
+        perfect = is_perfect_array(arr)
+    assert perfect == autocorrelate_2d(arr).is_perfect()
+    assert len(tests) == (nonzero[0] + 1 if nonzero else len(offpeak))
+
+
+def test_projection_check_builds_no_profile_for_imperfect_arrays(monkeypatch):
+    def no_profile(array):
+        raise AssertionError("profile built for an imperfect array")
+
+    monkeypatch.setattr(aopseq.aop, "autocorrelate_2d", no_profile)
+    assert perfect_array_projection_check(PhaseArray(3, 2, 2, (0, 1, 2, 2)))
 
 
 def test_degenerate_projection_detected():

@@ -337,6 +337,19 @@ def test_order_at_the_cap_is_read(tmp_path):
     assert cli.main(["verify", str(path)]) == 0
 
 
+def test_verify_frank_sequence_at_the_cap_is_quick(tmp_path, capsys):
+    """The Frank n=32 sequence written at order 1024 (exponent 32*(i*j mod 32))
+    is perfect; its 1023 zero tests at order 1024 finish in well under 2 s."""
+    path = tmp_path / "frank32.txt"
+    exps = ",".join(str(32 * (i * j % 32)) for i in range(32) for j in range(32))
+    path.write_text(f"format: phase-sequence/1\norder: 1024\nlength: 1024\nexponents: {exps}\n")
+    t0 = time.perf_counter()
+    assert cli.main(["verify", str(path)]) == 0
+    elapsed = time.perf_counter() - t0
+    assert "perfect: true" in capsys.readouterr().out.splitlines()
+    assert elapsed < 2.0, f"verify took {elapsed:.2f} s"
+
+
 def test_verify_echoes_only_settings_it_uses(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     with open(path, "w") as fh:

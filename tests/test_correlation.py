@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aopseq.correlation
 from aopseq.correlation import (
     autocorrelate,
     autocorrelate_2d,
     crosscorrelate,
+    decomposition_check,
     decomposition_check_all,
     diff_counts,
     product_counts,
@@ -224,6 +226,57 @@ def test_projection_sum_identity_random_arrays():
         assert projection_sum_check_all(arr)
     with pytest.raises(ValueError):
         projection_sum_check(PhaseArray(2, 2, 2, (0, 0, 0, 0)), 2)
+
+
+@st.composite
+def verify_arrays(draw):
+    """Arrays as a verify run meets them: random entries with R, C <= 8 at
+    orders 2-16, or a Frank array of a divisor d <= 8 of the order (exponents
+    scaled by n/d) with random column phases, which is perfect and has the
+    AOP."""
+    n = draw(st.integers(2, 16))
+    sizes = [d for d in range(2, 9) if n % d == 0]
+    if not sizes or draw(st.booleans()):
+        R, C = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        exps = draw(st.lists(st.integers(0, n - 1), min_size=R * C, max_size=R * C))
+        return PhaseArray(n, R, C, tuple(exps))
+    d = draw(st.sampled_from(sizes))
+    phases = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+    return PhaseArray(n, d, d, tuple((i * j * (n // d) + phases[j]) % n
+                                     for i in range(d) for j in range(d)))
+
+
+@given(verify_arrays())
+@settings(max_examples=200, deadline=None)
+def test_all_shift_checks_match_single_shift_checks(arr):
+    """The once-per-array `_all` forms against the public single-shift
+    checks at every shift."""
+    assert decomposition_check_all(arr) == all(
+        decomposition_check(arr, q, r) for q in range(arr.rows) for r in range(arr.cols)
+    )
+    assert projection_sum_check_all(arr) == all(
+        projection_sum_check(arr, tau) for tau in range(arr.rows)
+    )
+
+
+def test_all_shift_checks_build_their_inputs_once(monkeypatch):
+    calls = {"flatten": 0, "column_sum": 0}
+
+    def counted(name):
+        original = getattr(aopseq.correlation, name)
+
+        def wrapper(array):
+            calls[name] += 1
+            return original(array)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(aopseq.correlation, name, counted(name))
+    arr = PhaseArray(6, 3, 4, tuple(range(12)))
+    assert decomposition_check_all(arr)
+    assert projection_sum_check_all(arr)
+    assert calls == {"flatten": 1, "column_sum": 1}
 
 
 def test_projection_autocorrelation_of_frank():

@@ -4,7 +4,7 @@ import cmath
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aopseq.cyclotomic import (
@@ -15,6 +15,7 @@ from aopseq.cyclotomic import (
     counts_is_zero,
     cyclotomic_polynomial,
     cyc_mul_root,
+    reduction_rows,
     root_table,
 )
 
@@ -36,6 +37,69 @@ def test_cyclotomic_product_identity(n):
             prod = poly_mul(prod, list(cyclotomic_polynomial(d).coefficients))
     want = [-1] + [0] * (n - 1) + [1]
     assert prod == want
+
+
+def reference_is_zero(counts, n):
+    """Division-based reference: every row of the reduction modulo the
+    cyclotomic polynomial contracts the vector to 0."""
+    return all(sum(r * c for r, c in zip(row, counts)) == 0 for row in reduction_rows(n))
+
+
+def prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+# composites with two or three coprime factors, and prime powers with a
+# cube (27, 32) or a square of an odd prime (49), where n/p differs from p
+FAVOURED_ORDERS = (6, 10, 12, 15, 27, 30, 32, 49, 60)
+
+
+@st.composite
+def near_vanishing_counts(draw):
+    """Signed sums of rotated p-cosets for primes p | n, which vanish,
+    sometimes with one entry moved by +-1, which then cannot vanish."""
+    n = draw(st.one_of(st.sampled_from(FAVOURED_ORDERS), st.integers(1, 64)))
+    counts = [0] * n
+    primes = prime_divisors(n)
+    for _ in range(draw(st.integers(0, 6)) if primes else 0):
+        p = draw(st.sampled_from(primes))
+        start, weight = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3))
+        for t in range(p):
+            counts[(start + t * (n // p)) % n] += weight
+    if draw(st.integers(0, 3)) == 0:
+        counts[draw(st.integers(0, n - 1))] += draw(st.sampled_from((-1, 1)))
+    return n, counts
+
+
+def _rotated_cosets(n, coset_starts):
+    counts = [0] * n
+    for p, start, weight in coset_starts:
+        for t in range(p):
+            counts[(start + t * (n // p)) % n] += weight
+    return n, counts
+
+
+@given(near_vanishing_counts())
+@settings(max_examples=1500, deadline=None)
+@example(_rotated_cosets(105, [(3, 1, 2), (5, 4, -1), (7, 10, 1)]))
+@example(_rotated_cosets(210, [(2, 0, 1), (3, 7, -2), (5, 1, 1), (7, 3, 3)]))
+@example(_rotated_cosets(256, [(2, 5, 1), (2, 6, -4)]))
+@example((105, [1 if e % 35 == 0 else 0 for e in range(105)]))
+@example((210, [1] * 209 + [0]))
+@example((256, [0] * 255 + [1]))
+def test_zero_test_matches_division_reference(case):
+    """The structural zero test against division by the cyclotomic
+    polynomial, on lists and tuples, each call audited exactly once."""
+    n, counts = case
+    expected = reference_is_zero(counts, n)
+    audit.start()
+    try:
+        for vector in (counts, tuple(counts)):
+            before = audit.checked
+            assert counts_is_zero(vector, n) == expected, (n, counts)
+            assert audit.checked == before + 1
+    finally:
+        audit.stop()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 30])
