@@ -4,6 +4,7 @@ two flattening identities used as acceptance harnesses."""
 
 import io
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,10 @@ from hypothesis import strategies as st
 
 import aopseq.correlation
 from aopseq.correlation import (
+    _lane_bytes,
+    _pack,
+    _packed_pays,
+    _shift_counts,
     autocorrelate,
     autocorrelate_2d,
     crosscorrelate,
@@ -25,7 +30,7 @@ from aopseq.correlation import (
 )
 from aopseq.cyclotomic import CyclotomicInt, cyc_add, cyc_conj, cyc_mul, root_table
 from aopseq.indexfn import frank_array, frank_sequence
-from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum
+from aopseq.seqmodel import PhaseArray, PhaseSequence, ProjectionSequence, column_sum
 
 
 def test_frank_2x2_flattened_profile():
@@ -277,6 +282,114 @@ def test_all_shift_checks_build_their_inputs_once(monkeypatch):
     assert decomposition_check_all(arr)
     assert projection_sum_check_all(arr)
     assert calls == {"flatten": 1, "column_sum": 1}
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two exponent sequences of one length and order, random or constant;
+    a constant pair puts all L terms of each shift in one lane."""
+    n = draw(st.integers(1, 16))
+    L = draw(st.one_of(st.integers(1, 300), st.sampled_from((255, 256))))
+
+    def sequence():
+        if draw(st.booleans()):
+            return [draw(st.integers(0, n - 1))] * L
+        return draw(st.lists(st.integers(0, n - 1), min_size=L, max_size=L))
+
+    return n, sequence(), sequence()
+
+
+@given(packed_pairs())
+@settings(max_examples=200, deadline=None)
+def test_packed_kernel_matches_diff_counts(case):
+    n, u, v = case
+    L = len(u)
+    lane = _lane_bytes(L)
+    packed = _pack(u, n, lane, True) * _pack(v, n, lane, False)
+    assert _shift_counts(packed, L, n, lane) == [
+        tuple(diff_counts(((u, v, t),), n)) for t in range(L)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, R, C, lane",
+    [(3, 7, 6, 1), (4, 1, 16, 2), (5, 4, 127, 2), (2, 4, 128, 4)],
+)
+@pytest.mark.parametrize("constant", [False, True])
+def test_packed_projection_side_matches_diff_counts(n, R, C, lane, constant):
+    """The summed column packings against every ordered column pair: C^2 R
+    terms per shift (252, 256, 64,516 and 65,536) on both sides of the one-
+    and two-byte lane limits; constant columns put all of them in one lane."""
+    rng = random.Random(R * C)
+    cols = [tuple(0 if constant else rng.randrange(n) for _ in range(R)) for _ in range(C)]
+    assert _lane_bytes(C * C * R) == lane
+    packed = sum(_pack(c, n, lane, True) for c in cols) * sum(_pack(c, n, lane, False) for c in cols)
+    assert _shift_counts(packed, R, n, lane) == [
+        tuple(diff_counts([(u, v, t) for u in cols for v in cols], n)) for t in range(R)
+    ]
+
+
+# One array on each side of the packed-path rule (see the rule test below).
+CONTROL_ARRAYS = [PhaseArray(60, 3, 3, (0, 7, 19, 24, 31, 42, 45, 53, 58)), frank_array(8)]
+
+
+def test_packed_path_rule():
+    """Large orders stay on the per-shift path for single products (order
+    32 up to length 64, orders 64 and 1024 up to length 300); the two control
+    arrays sit on opposite sides of the rule at both identity checks."""
+    for n, longest in ((32, 64), (64, 300), (1024, 300)):
+        for L in range(1, longest + 1):
+            assert not _packed_pays(L * L, n, _lane_bytes(L), (1, L))
+    sides = []
+    for arr in CONTROL_ARRAYS:
+        n, R, C = arr.order, arr.rows, arr.cols
+        L = R * C
+        sides.append((
+            _packed_pays(2 * L * L, n, _lane_bytes(L), (1, L), (C * C, R)),
+            _packed_pays(C * C * R * R, n, _lane_bytes(C * C * R), (1, R)),
+        ))
+    assert sides == [(False, False), (True, True)]
+
+
+@pytest.mark.parametrize("arr", CONTROL_ARRAYS)
+def test_identity_checks_catch_one_changed_input(arr, monkeypatch):
+    """Both identities hold on every array, so only a corrupted input shows
+    that a check compares its two sides: one flattening entry or one
+    projection coefficient changed must fail the `_all` and the
+    single-shift forms."""
+    assert decomposition_check_all(arr) and projection_sum_check_all(arr)
+    flatten, column_sum = aopseq.correlation.flatten, aopseq.correlation.column_sum
+
+    def changed_flatten(array):
+        seq = flatten(array)
+        return PhaseSequence(seq.order, (seq.exponents[0] + 1,) + seq.exponents[1:])
+
+    def changed_column_sum(array):
+        proj = column_sum(array)
+        first = proj.values[0].coeffs
+        value = CyclotomicInt(proj.order, (first[0] + 1,) + first[1:])
+        return ProjectionSequence(proj.order, (value,) + proj.values[1:])
+
+    monkeypatch.setattr(aopseq.correlation, "flatten", changed_flatten)
+    monkeypatch.setattr(aopseq.correlation, "column_sum", changed_column_sum)
+    assert not decomposition_check_all(arr)
+    assert not all(
+        decomposition_check(arr, q, r) for q in range(arr.rows) for r in range(arr.cols)
+    )
+    assert not projection_sum_check_all(arr)
+    assert not all(projection_sum_check(arr, tau) for tau in range(arr.rows))
+
+
+@pytest.mark.parametrize("n, d", [(1024, 32), (256, 16)])
+def test_identity_checks_at_large_orders_are_quick(n, d):
+    """The d x d Frank array written at order n (exponent (n/d)*(i*j mod d))
+    passes both `_all` checks well inside 5 s."""
+    arr = PhaseArray(n, d, d, tuple(n // d * (i * j % d) for i in range(d) for j in range(d)))
+    t0 = time.perf_counter()
+    assert decomposition_check_all(arr)
+    assert projection_sum_check_all(arr)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"checks took {elapsed:.2f} s"
 
 
 def test_projection_autocorrelation_of_frank():
