@@ -61,9 +61,10 @@ class CliInputError(ValueError):
     """Malformed file or inconsistent command inputs."""
 
 
-# Largest alphabet order a file may declare.  The exact zero test builds a
-# phi(n) x n reduction table per order: about 0.2 s at 1024, 3 s at 4096,
-# and past a minute at 30000.
+# Largest alphabet order a file may declare.  Every exact correlation value
+# is a count vector with one entry per n-th root of unity, and the zero test
+# keeps an index plan of the same size per order, so the memory a file costs
+# grows with its declared order, not with its data.
 MAX_ORDER = 1024
 
 
@@ -73,7 +74,6 @@ class RunConfig:
 
     command: str
     mode: str = "exact"
-    out: str = ""
 
     def echo_lines(self) -> list[str]:
         return [
@@ -256,7 +256,7 @@ def _float_advisory(obj: FileObject) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig("verify", mode=args.mode, out=args.out or "")
+    config = RunConfig("verify", mode=args.mode)
     try:
         obj = read_object(args.path)
     except CliInputError as exc:

@@ -81,14 +81,6 @@ class CorrelationProfile:
     order: int
     shape: tuple[int, ...]
     values: tuple
-    kind: str  # "auto" | "cross"
-
-    @property
-    def length(self) -> int:
-        total = 1
-        for s in self.shape:
-            total *= s
-        return total
 
     def value(self, *shift: int):
         """Value at a shift (one index for 1D, two for 2D), cyclically."""
@@ -242,10 +234,10 @@ def product_counts(vals, tau: int, order: int) -> list[int]:
 
 def autocorrelate(seq: PhaseSequence) -> CorrelationProfile:
     """Exact periodic autocorrelation over shifts 0..L-1."""
-    return crosscorrelate(seq, seq, _kind="auto")
+    return crosscorrelate(seq, seq)
 
 
-def crosscorrelate(a: PhaseSequence, b: PhaseSequence, *, _kind: str = "cross") -> CorrelationProfile:
+def crosscorrelate(a: PhaseSequence, b: PhaseSequence) -> CorrelationProfile:
     """Exact periodic cross-correlation sum_i a_i * conj(b_{i+tau})."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
@@ -260,7 +252,7 @@ def crosscorrelate(a: PhaseSequence, b: PhaseSequence, *, _kind: str = "cross") 
     else:
         counts = (diff_counts(((a.exponents, b.exponents, tau),), n) for tau in range(L))
     values = tuple(CyclotomicInt(n, tuple(c)) for c in counts)
-    return CorrelationProfile(n, (L,), values, _kind)
+    return CorrelationProfile(n, (L,), values)
 
 
 def _array_shift_terms(array: PhaseArray):
@@ -287,7 +279,7 @@ def autocorrelate_2d(array: PhaseArray) -> CorrelationProfile:
     values = tuple(
         CyclotomicInt(n, tuple(diff_counts(terms, n))) for terms in _array_shift_terms(array)
     )
-    return CorrelationProfile(n, (array.rows, array.cols), values, "auto")
+    return CorrelationProfile(n, (array.rows, array.cols), values)
 
 
 def projection_autocorrelate(proj: ProjectionSequence) -> CorrelationProfile:
@@ -298,7 +290,7 @@ def projection_autocorrelate(proj: ProjectionSequence) -> CorrelationProfile:
         CyclotomicInt(n, tuple(product_counts(proj.values, tau, n)))
         for tau in range(len(proj))
     )
-    return CorrelationProfile(n, (len(proj),), values, "auto")
+    return CorrelationProfile(n, (len(proj),), values)
 
 
 def _ring_equal(lhs, rhs, order: int) -> bool:

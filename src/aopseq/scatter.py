@@ -24,9 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
-from .aop import check_condition_1
-from .correlation import diff_counts
-from .cyclotomic import CyclotomicInt, counts_is_zero, root_table
+from .aop import _condition_1_witness, check_condition_1
+from .cyclotomic import CyclotomicInt, root_table
 from .indexfn import FlooredIndex
 from .seqmodel import PhaseArray
 
@@ -331,13 +330,7 @@ def fractional_dependence_survey(
             continue
         passes += 1
         residues = [tuple(spec.column_residue(j, i) for i in range(R)) for j in range(C)]
-        needs_fractional = any(
-            not counts_is_zero(diff_counts(((residues[j1], residues[j2], tau),), m), m)
-            for j1 in range(C)
-            for j2 in range(j1 + 1, C)
-            for tau in range(R)
-        )
-        if needs_fractional:
+        if _condition_1_witness(residues, R, m) is not None:
             dependent += 1
         else:
             gaussian_only += 1

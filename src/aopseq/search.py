@@ -36,9 +36,16 @@ the pairs of column C - 1, so every C together cost one condition-1 check
 of the widest; condition 2 at C zero-tests a running sum of the column
 autocorrelations, one test per shift up to its first nonzero one.
 Both memos live for the whole sweep in each process (the serial loop or one
-pool worker) and never across sweeps.  Blocks return compact hit records,
-(index, verdicts), until they hold `hit_limit` hits; the parent keeps the
-first `hit_limit` in block order and builds report entries only for those.
+pool worker) and never across sweeps.
+
+Every block returns compact hit records (global index, payload) in
+ascending index order, and stops recording once it holds `hit_limit` hits.
+The payload is the verdicts tuple for poly and floored sweeps (one hit per
+verdict), the AOP divisors for raw-phase, and the conventions for
+raw-quaternion.  The parent keeps a block's records unless it already holds
+`hit_limit` records and the block's first index lies past every held one;
+it merges the kept lists once by index and builds report entries from the
+merged records until it has `hit_limit` of them.
 
 One candidate in a hundred is re-checked the slow way: its tile is built
 directly from the coefficient vector and must equal the composed tile, the
@@ -92,7 +99,9 @@ from .indexfn import (
     generate_floored_array,
     generate_poly_array,
 )
-from .quaternion import CONJ, MUL, VEC, QuaternionSequence, quat_is_perfect
+from .quaternion import (
+    CONJ, MUL, UNIT_SYMBOLS, VEC, QuaternionSequence, quat_is_perfect,
+)
 from .seqmodel import PhaseArray, PhaseSequence
 
 __all__ = [
@@ -324,24 +333,16 @@ def _blocks(total: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-class _VectorDecoder:
-    """Maps a candidate index to its coefficient vector, honoring the
-    collapse restriction's split into free prefix and constrained suffix."""
-
-    def __init__(
-        self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
-    ) -> None:
-        self.m = spec.coeff_modulus
-        self.width = spec.vector_width
-        self.valid = suffixes
-        if suffixes is not None:
-            self.free_width = self.width - (spec.deg_y + 1)
-
-    def __call__(self, idx: int) -> list[int]:
-        if self.valid is None:
-            return _digits(idx, self.m, self.width)
-        prefix_idx, valid_idx = divmod(idx, len(self.valid))
-        return _digits(prefix_idx, self.m, self.free_width) + list(self.valid[valid_idx])
+def _coeff_vector(
+    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]], idx: int
+) -> list[int]:
+    """The coefficient vector of candidate `idx`, honoring the collapse
+    restriction's split into free prefix and constrained suffix."""
+    m, width = spec.coeff_modulus, spec.vector_width
+    if suffixes is None:
+        return _digits(idx, m, width)
+    prefix_idx, valid_idx = divmod(idx, len(suffixes))
+    return _digits(prefix_idx, m, width - spec.deg_y - 1) + list(suffixes[valid_idx])
 
 
 def _monomial_rows(spec: SearchSpec) -> list[list[int]]:
@@ -429,74 +430,6 @@ def _tile_verdicts(
     return out
 
 
-def _build_index_fn(spec: SearchSpec, vector: list[int]):
-    poly = PolyIndex.from_coeff_vector(spec.coeff_modulus, spec.deg_x, spec.deg_y, vector)
-    if spec.family == "poly":
-        return poly
-    return FlooredIndex(poly, spec.n, spec.k)
-
-
-def _generate_direct(spec: SearchSpec, fn, rows: int, cols: int) -> PhaseArray:
-    if spec.family == "poly":
-        return generate_poly_array(fn, rows, cols)
-    return generate_floored_array(fn, rows, cols)
-
-
-def _spot_verify(
-    spec: SearchSpec,
-    vector: list[int],
-    tile_cols: list[tuple[int, ...]],
-    verdicts: Verdicts,
-) -> int:
-    """Slow-path cross-check for one sampled candidate.
-
-    Regenerates the array straight from the index function, confirms the
-    tile matches, and for each R confirms the duplicated column equals
-    column 0 entrywise and re-decides every pruned (R, C) combination with
-    one verdict pass over the direct columns.  Returns the number of
-    verification units (tile confirmation plus each prune decision
-    re-examined); raises on any mismatch.
-    """
-    period = spec.coeff_modulus
-    order = spec.alphabet_order
-    r_hi = spec.r_range[1]
-    c_hi = spec.c_range[1]
-    fn = _build_index_fn(spec, vector)
-    direct = _generate_direct(spec, fn, max(r_hi, period), max(c_hi, period + 1))
-    for i in range(period):
-        for j in range(period):
-            if direct.entry(i, j) != tile_cols[j][i]:
-                raise AssertionError(
-                    f"tile disagrees with direct generation at {(i, j)} "
-                    f"for vector {vector}"
-                )
-    checked = 1
-    pruned = range(max(spec.c_range[0], period + 1), c_hi + 1)
-    if pruned:
-        columns = [direct.column(j) for j in range(c_hi)]
-        for R in _dim_values(spec.r_range):
-            if columns[period][:R] != columns[0][:R]:
-                raise AssertionError(
-                    f"columns 0 and {period} differ under direct generation "
-                    f"for vector {vector}"
-                )
-            holds = _aop_holds_widths([col[:R] for col in columns], R, order)
-            for C in pruned:
-                if holds[C - 1]:
-                    raise AssertionError(
-                        f"full check accepted pruned combination {(R, C)} "
-                        f"for vector {vector}"
-                    )
-                checked += 1
-    for R, C in verdicts:
-        arr = _generate_direct(spec, fn, R, C)
-        if not check_aop(arr).holds:
-            raise AssertionError(
-                f"recorded hit {(R, C)} fails the public check for vector {vector}"
-            )
-    return checked
-
-
 def _phase_class(flat: list[int], period: int, order: int) -> tuple[int, ...]:
     """The column-phase class of a row-major tile: column j shifted by its
     row-0 entry flat[j]."""
@@ -517,19 +450,26 @@ def _class_verdicts(spec: SearchSpec, memo: _SweepMemo, flat: list[int]) -> Verd
 
 
 def _spot_check(
-    spec: SearchSpec,
-    memo: _SweepMemo,
-    vector: list[int],
-    composed: list[int],
+    spec: SearchSpec, memo: _SweepMemo, idx: int, composed: list[int],
     verdicts: Verdicts,
 ) -> int:
-    """The sampled checks of one candidate: its tile built directly from the
-    coefficient vector must equal the composed tile, `_spot_verify` re-derives
-    the verdicts from the directly generated array, and a raw tile outside its
-    class representative has its own verdicts recomputed once per sweep."""
+    """Slow-path cross-check for sampled candidate `idx`.
+
+    Its tile built directly from the coefficient vector must equal the
+    composed tile.  The array regenerated straight from the index function
+    must match that tile, and for each R its duplicated column must equal
+    column 0 entrywise and one verdict pass over the direct columns must
+    reject every pruned (R, C).  Every recorded hit must pass the public
+    check, and a raw tile outside its class representative has its own
+    verdicts recomputed once per sweep.  Returns the number of verification
+    units (tile confirmation plus each prune decision re-examined); raises
+    on any mismatch.
+    """
     m = spec.coeff_modulus
     order = spec.alphabet_order
-    divisor = spec.n if spec.family == "floored" else 1
+    floored = spec.family == "floored"
+    divisor = spec.n if floored else 1
+    vector = _coeff_vector(spec, memo.suffixes, idx)
     flat = [
         sum(c * r for c, r in zip(vector, row) if c) % m // divisor for row in memo.mono
     ]
@@ -539,14 +479,49 @@ def _spot_check(
             f"of vector {vector}"
         )
     tile_cols = _tile_columns(flat, m)
-    checked = _spot_verify(spec, vector, tile_cols, verdicts)
+    fn = PolyIndex.from_coeff_vector(m, spec.deg_x, spec.deg_y, vector)
+    generate = generate_poly_array
+    if floored:
+        fn, generate = FlooredIndex(fn, spec.n, spec.k), generate_floored_array
+    c_hi = spec.c_range[1]
+    direct = generate(fn, max(spec.r_range[1], m), max(c_hi, m + 1))
+    for i in range(m):
+        for j in range(m):
+            if direct.entry(i, j) != tile_cols[j][i]:
+                raise AssertionError(
+                    f"tile disagrees with direct generation at {(i, j)} "
+                    f"for vector {vector}"
+                )
+    checked = 1
+    pruned = range(max(spec.c_range[0], m + 1), c_hi + 1)
+    if pruned:
+        columns = [direct.column(j) for j in range(c_hi)]
+        for R in _dim_values(spec.r_range):
+            if columns[m][:R] != columns[0][:R]:
+                raise AssertionError(
+                    f"columns 0 and {m} differ under direct generation "
+                    f"for vector {vector}"
+                )
+            holds = _aop_holds_widths([col[:R] for col in columns], R, order)
+            for C in pruned:
+                if holds[C - 1]:
+                    raise AssertionError(
+                        f"full check accepted pruned combination {(R, C)} "
+                        f"for vector {vector}"
+                    )
+                checked += 1
+    for R, C in verdicts:
+        if not check_aop(generate(fn, R, C)).holds:
+            raise AssertionError(
+                f"recorded hit {(R, C)} fails the public check for vector {vector}"
+            )
     raw = tuple(flat)
     if raw != _phase_class(flat, m, order) and raw not in memo.cross_checked:
         memo.cross_checked.add(raw)
-        direct = tuple(_tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range))
-        if direct != verdicts:
+        own = tuple(_tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range))
+        if own != verdicts:
             raise AssertionError(
-                f"tile of vector {vector} has verdicts {direct}, "
+                f"tile of vector {vector} has verdicts {own}, "
                 f"its column-phase class {verdicts}"
             )
     return checked
@@ -568,7 +543,6 @@ def _index_function_block(
         # rotates every generated exponent by one alphabet step.  It is the
         # index's leading digit, so keeping it below `divisor` keeps a prefix.
         stop = min(stop, divisor * m**head_width * n_tails // m)
-    decoder = _VectorDecoder(spec, memo.suffixes)
     tally: Counter[Verdicts] = Counter()
     records: list[tuple[int, Verdicts]] = []
     room = spec.hit_limit
@@ -607,9 +581,7 @@ def _index_function_block(
             if idx % mod == residue:
                 tail = tails[idx - base]
                 composed = [(h + v) % m // divisor for h, v in zip(head_tile, tail)]
-                spot_checks += _spot_check(
-                    spec, memo, decoder(idx), composed, row[idx - base]
-                )
+                spot_checks += _spot_check(spec, memo, idx, composed, row[idx - base])
     hits_total = 0
     histogram: dict[str, int] = {}
     max_len = 0
@@ -630,41 +602,11 @@ def _index_function_block(
     }
 
 
-def _index_hits(
-    spec: SearchSpec,
-    records: list[tuple[int, Verdicts]],
-    suffixes: Optional[list[tuple[int, ...]]],
-) -> list[dict]:
-    """Report entries for compact hit records (index, verdicts), at most
-    `hit_limit` of them, in record order."""
-    decoder = _VectorDecoder(spec, suffixes)
-    floored = spec.family == "floored"
-    # the quadratic-row coefficients, which alone decide the collapse flag
-    lead_width = spec.deg_y + 1 if spec.deg_x >= 2 else 0
-    lead = slice(2 * lead_width, 3 * lead_width)
-    hits: list[dict] = []
-    for idx, verdicts in records:
-        vector = decoder(idx)
-        if floored:
-            collapses = _leading_vanishes(tuple(vector[lead]), spec.coeff_modulus, spec.n)
-        for R, C in verdicts:
-            if len(hits) == spec.hit_limit:
-                return hits
-            hit = {"vector": list(vector), "rows": R, "cols": C, "divisor": C}
-            if floored:
-                hit["collapse"] = collapses
-                hit["exceeds_base_square"] = R * C > spec.k * spec.k
-            hits.append(hit)
-    return hits
-
-
 def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
     n, L = spec.n, spec.length
-    hits: list[dict] = []
-    histogram: dict[str, int] = {}
+    records: list[tuple[int, list[int]]] = []
     tested = 0
     hits_total = 0
-    max_len = 0
     for idx in range(start, stop):
         if spec.filter_mod > 1 and idx % spec.filter_mod != spec.filter_residue:
             continue
@@ -680,15 +622,14 @@ def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
             if check_aop(PhaseArray(n, L // C, C, exps)).holds:
                 divisors.append(C)
         hits_total += 1
-        max_len = L
-        if len(hits) < spec.hit_limit:
-            hits.append({"exponents": list(exps), "aop_divisors": divisors})
+        if len(records) < spec.hit_limit:
+            records.append((idx, divisors))
     return {
-        "hits": hits,
+        "hits": records,
         "tested": tested,
         "hits_total": hits_total,
-        "histogram": histogram,
-        "max_hit_length": max_len,
+        "histogram": {},
+        "max_hit_length": L if hits_total else 0,
         "spot_checks": 0,
         "convention_counts": {},
     }
@@ -778,7 +719,7 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
             if g % mod == residue:
                 members.append((g, units, conventions))
     members.sort()
-    hits: list[dict] = []
+    records: list[tuple[int, list[str]]] = []
     counts = {"right": 0, "left": 0}
     sample_expanded = []
     for g, units, funnel_conventions in members:
@@ -793,8 +734,8 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
             counts[c] += 1
         if g % SPOT_SAMPLE_STRIDE == 0:
             sample_expanded.extend((g, c) for c in conventions)
-        if len(hits) < spec.hit_limit:
-            hits.append({"symbols": list(seq.symbols()), "conventions": conventions})
+        if len(records) < spec.hit_limit:
+            records.append((g, conventions))
     lo, hi = 8 * start, 8 * stop
     sample = np.arange(-(-lo // SPOT_SAMPLE_STRIDE) * SPOT_SAMPLE_STRIDE, hi,
                        SPOT_SAMPLE_STRIDE, dtype=np.int64)
@@ -805,7 +746,7 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
         for row in rows.tolist()
     ]
     return {
-        "hits": hits,
+        "hits": records,
         "tested": len(range(lo + (residue - lo) % mod, hi, mod)),
         "hits_total": len(members),
         "histogram": {},
@@ -817,25 +758,42 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
     }
 
 
-def _merge_orbit_hits(results: list[dict], hit_limit: int) -> list[dict]:
-    """The first `hit_limit` raw-quaternion hits by global index.  Each
-    block's hits are in index order, but orbits spread them over the whole
-    space, so blocks interleave.  First the sampled raw indices'
-    unquotiented survivors must equal the expanded members at those indices."""
-    direct = sorted(p for r in results for p in r["sample_direct"])
-    expanded = sorted(p for r in results for p in r["sample_expanded"])
+def _check_orbit_sample(direct: list, expanded: list) -> None:
+    """The sampled raw indices' unquotiented survivors must equal the
+    expanded orbit members at those indices, as (index, convention) pairs."""
+    direct, expanded = sorted(direct), sorted(expanded)
     if direct != expanded:
         diff = sorted(set(direct) ^ set(expanded))[:8]
         raise AssertionError(
             f"orbit expansion and the unquotiented funnel disagree on sampled "
             f"(index, convention) pairs {diff}"
         )
-    merged = heapq.merge(
-        *(r["hits"] for r in results),
-        # unit indices in sequence order compare as the base-8 index does
-        key=lambda hit: QuaternionSequence.from_symbols(hit["symbols"]).indices,
-    )
-    return list(itertools.islice(merged, hit_limit))
+
+
+def _hit_entries(
+    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]], record: tuple
+) -> list[dict]:
+    """The report entries of one hit record (global index, payload): one
+    per verdict for index-function sweeps, one otherwise."""
+    idx, payload = record
+    if spec.family == "raw-phase":
+        return [{"exponents": _digits(idx, spec.n, spec.length),
+                 "aop_divisors": list(payload)}]
+    if spec.family == "raw-quaternion":
+        return [{"symbols": [UNIT_SYMBOLS[u] for u in _digits(idx, 8, spec.length)],
+                 "conventions": list(payload)}]
+    vector = _coeff_vector(spec, suffixes, idx)
+    entries = [{"vector": list(vector), "rows": R, "cols": C, "divisor": C}
+               for R, C in payload]
+    if spec.family == "floored":
+        # the quadratic-row coefficients alone decide the collapse flag
+        lead_width = spec.deg_y + 1 if spec.deg_x >= 2 else 0
+        lead = tuple(vector[2 * lead_width : 3 * lead_width])
+        collapses = _leading_vanishes(lead, spec.coeff_modulus, spec.n)
+        for entry in entries:
+            entry["collapse"] = collapses
+            entry["exceeds_base_square"] = entry["rows"] * entry["cols"] > spec.k**2
+    return entries
 
 
 def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> dict:
@@ -904,11 +862,10 @@ def run_search(spec: SearchSpec) -> SearchReport:
     `progress_every` > 0 the calling process prints one line per completed
     block to stderr: candidates so far, their rate and the time left."""
     t0 = time.monotonic()
-    index_family = spec.family in ("poly", "floored")
     suffix_count = _collapse_suffix_count(spec)
     space_size = _index_space_size(spec, suffix_count)
     total = space_size
-    if index_family:
+    if spec.family in ("poly", "floored"):
         if spec.r_range[1] < spec.r_range[0] or spec.c_range[1] < spec.c_range[0]:
             total = 0
     if total > spec.budget:
@@ -921,9 +878,12 @@ def run_search(spec: SearchSpec) -> SearchReport:
         )
     # raw-quaternion blocks cut the orbit representatives, one per 8 sequences
     blocks = _blocks(total // 8 if spec.family == "raw-quaternion" else total)
-    kept: list = []
-    room = spec.hit_limit
-    quat_results: list[dict] = []
+    # kept blocks' hit records, each list ascending by global index
+    held: list[list[tuple]] = []
+    held_count = 0
+    held_max = -1
+    sample_direct: list = []
+    sample_expanded: list = []
     histogram: dict[str, int] = {}
     conv_counts: dict[str, int] = {}
     tested = 0
@@ -936,16 +896,16 @@ def run_search(spec: SearchSpec) -> SearchReport:
     for number, (block, r) in enumerate(
         zip(blocks, _block_results(spec, blocks, suffixes)), 1
     ):
-        if spec.family == "raw-quaternion":
-            quat_results.append(r)
-        else:
-            # index-function blocks hold (index, verdicts) records of
-            # len(verdicts) hits each, raw-phase blocks one hit per entry
-            for hit in r["hits"]:
-                if room <= 0:
-                    break
-                kept.append(hit)
-                room -= len(hit[1]) if index_family else 1
+        records = r["hits"]
+        # a block that starts past hit_limit held records cannot reach the
+        # cut; orbit blocks interleave, so theirs are kept
+        if records and not (held_count >= spec.hit_limit and records[0][0] > held_max):
+            held.append(records)
+            held_count += len(records)
+            held_max = max(held_max, records[-1][0])
+        # only raw-quaternion blocks carry an orbit sample
+        sample_direct += r.get("sample_direct", ())
+        sample_expanded += r.get("sample_expanded", ())
         tested += r["tested"]
         hits_total += r["hits_total"]
         for key, c in r["histogram"].items():
@@ -965,12 +925,11 @@ def run_search(spec: SearchSpec) -> SearchReport:
                 f"{tested / elapsed:.0f}/s, ETA {eta:.1f}s",
                 file=sys.stderr,
             )
-    if index_family:
-        hits = _index_hits(spec, kept, suffixes)
-    elif spec.family == "raw-quaternion":
-        hits = _merge_orbit_hits(quat_results, spec.hit_limit)
-    else:
-        hits = kept
+    _check_orbit_sample(sample_direct, sample_expanded)
+    entries = itertools.chain.from_iterable(
+        _hit_entries(spec, suffixes, record) for record in heapq.merge(*held)
+    )
+    hits = list(itertools.islice(entries, spec.hit_limit))
     limit = spec.bound_limit
     return SearchReport(
         spec=spec,

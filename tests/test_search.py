@@ -557,6 +557,45 @@ def test_hit_cap_across_blocks_is_independent_of_workers():
         assert texts[0] == texts[1] == texts[2]
 
 
+def test_raw_phase_hit_cap_across_blocks():
+    """Raw-phase blocks hold at most `hit_limit` records and the parent cuts
+    the merged list once, for caps of none, one block's share, one past it,
+    and most of the list."""
+    base = dict(family="raw-phase", n=3, length=9)
+    uncapped = run_search(SearchSpec(**base, hit_limit=10**6))
+    assert len(uncapped.worker_chunks) == 5
+    assert uncapped.hits_total == len(uncapped.hits) == 162
+    for limit in (0, 34, 35, 100):
+        outputs = [
+            run_search(SearchSpec(**base, hit_limit=limit, workers=w)) for w in (1, 2)
+        ]
+        assert outputs[0].hits == uncapped.hits[:limit]
+        assert outputs[0].hits_total == uncapped.hits_total
+        assert outputs[0].canonical_json() == outputs[1].canonical_json()
+
+
+@pytest.mark.parametrize("spec,calls", [
+    (SearchSpec(family="poly", n=2, deg_x=2, deg_y=2, r_range=(1, 4), c_range=(1, 4)),
+     {"generate_poly_array": 16, "check_aop": 10}),
+    (SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1, r_range=(1, 4),
+                c_range=(1, 6)),
+     {"generate_floored_array": 6, "check_aop": 3}),
+], ids=["poly", "floored"])
+def test_spot_check_calls_through_module_globals(monkeypatch, spec, calls):
+    """Each sampled candidate generates its direct array once and once more
+    per recorded hit, which `check_aop` then decides, all through the names
+    in `aopseq.search` so that wrappers installed there see every call."""
+    seen = dict.fromkeys(("generate_poly_array", "generate_floored_array", "check_aop"), 0)
+    for name in seen:
+        def counting(*args, _real=getattr(search, name), _name=name):
+            seen[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(search, name, counting)
+    report = run_search(spec)
+    assert report.spot_checks > 0
+    assert seen == {**dict.fromkeys(seen, 0), **calls}
+
+
 def test_composed_tile_disagreeing_with_direct_tile_raises(monkeypatch):
     """Index 0 is sampled; its composed tile is head tile 0 plus tail tile 0,
     which is made wrong here, so the sampled composition check must refuse."""
