@@ -16,6 +16,7 @@ period to n*K along both axes.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -176,22 +177,39 @@ def index_periodicity_check(
     return True
 
 
-def generate_poly_array(p: PolyIndex, rows: int, cols: int) -> PhaseArray:
-    """R x C array with entry (i, j) carrying exponent p(i, j) mod m; the
-    alphabet order is the polynomial modulus.  Every cell is evaluated on
-    its own, so the array's periodicity is never assumed."""
+def _exponents(p: PolyIndex, rows: int, cols: int, divisor: int) -> tuple[int, ...]:
+    """Row-major (p(i, j) mod m) // divisor of the R x C array, each from the
+    exact integer p(i, j): column j holds the x-power rows' y-polynomials at
+    j, and each of its cells one Horner pass in i over them."""
     m = p.modulus
     coeffs = _coeff_rows(p)
-    exps = [_horner(coeffs, m, i, j) for i in range(rows) for j in range(cols)]
-    return PhaseArray(m, rows, cols, tuple(exps))
+    columns = []
+    for j in range(cols):
+        ys = []
+        for row in coeffs:
+            acc = 0
+            for c in row:
+                acc = acc * j + c
+            ys.append(acc)
+        values = [ys[0]] * rows
+        for y in ys[1:]:
+            values = [v * i + y for i, v in enumerate(values)]
+        columns.append([v % m // divisor for v in values])
+    return tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def generate_poly_array(p: PolyIndex, rows: int, cols: int) -> PhaseArray:
+    """R x C array with entry (i, j) carrying exponent p(i, j) mod m; the
+    alphabet order is the polynomial modulus.  Each column evaluates its
+    y-polynomials once at its own j and each cell one Horner pass in i, on
+    unreduced i and j, so the array's periodicity is never assumed."""
+    return PhaseArray(p.modulus, rows, cols, _exponents(p, rows, cols, 1))
 
 
 def generate_floored_array(f: FlooredIndex, rows: int, cols: int) -> PhaseArray:
     """R x C array over the base alphabet K with entry floor(p(i,j)/n) mod K,
-    every cell evaluated on its own."""
-    exps = generate_poly_array(f.poly, rows, cols).exponents
-    K = f.base_order
-    return PhaseArray(K, rows, cols, tuple(e // f.divisor % K for e in exps))
+    from the same column-by-column evaluation as `generate_poly_array`."""
+    return PhaseArray(f.base_order, rows, cols, _exponents(f.poly, rows, cols, f.divisor))
 
 
 def column_duplication_witness(

@@ -48,14 +48,17 @@ it merges the kept lists once by index and builds report entries from the
 merged records until it has `hit_limit` of them.
 
 One candidate in a hundred is re-checked the slow way: its tile is built
-directly from the coefficient vector and must equal the composed tile, the
-array is regenerated directly from the index function (every cell evaluated
-on its own) and its columns built once, the duplicate columns are compared
-entrywise, and for each R one verdict pass over the first max C direct
-columns re-decides every pruned (R, C).  The sampled candidate's own raw
-tile, once per distinct raw tile per sweep, also gets its verdicts
-recomputed and compared with its class's verdicts, which keeps the quotient
-itself under a direct check.
+directly from the coefficient vector and must equal the composed tile, and
+the array is regenerated directly from the index function (column by
+column, on unreduced i and j) and must equal the periodic extension of that
+raw tile at every cell, which also covers every duplicate column.  The
+direct columns are then a function of the raw tile alone, so the first
+sample of each distinct raw tile per sweep and process re-decides every
+pruned (R, C), one verdict pass per R over the first max C direct columns,
+and has its own verdicts recomputed and compared with its class's, which
+keeps the quotient itself under a direct check.  Every sample still counts
+its spot-check units and has each recorded hit re-decided by the public
+check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -386,8 +389,7 @@ class _SweepMemo:
     """One sweep's state in one process: the collapse suffixes, monomial rows
     and tail tiles of an index-function sweep, its verdicts per column-phase
     class and per head tile (a row of the verdicts of every tail, filled on
-    demand), and the raw tiles whose verdicts were already cross-checked
-    against their class."""
+    demand), and the raw tiles a spot check has already re-decided."""
 
     def __init__(
         self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
@@ -400,7 +402,7 @@ class _SweepMemo:
             self.tails = _tail_tiles(spec, suffixes, self.mono)
         self.verdicts: dict[tuple[int, ...], Verdicts] = {}
         self.rows: dict[tuple[int, ...], list[Optional[Verdicts]]] = {}
-        self.cross_checked: set[tuple[int, ...]] = set()
+        self.spot_tiles: set[tuple[int, ...]] = set()
 
 
 def _tile_columns(flat, period: int) -> list[tuple[int, ...]]:
@@ -457,13 +459,16 @@ def _spot_check(
 
     Its tile built directly from the coefficient vector must equal the
     composed tile.  The array regenerated straight from the index function
-    must match that tile, and for each R its duplicated column must equal
-    column 0 entrywise and one verdict pass over the direct columns must
-    reject every pruned (R, C).  Every recorded hit must pass the public
-    check, and a raw tile outside its class representative has its own
-    verdicts recomputed once per sweep.  Returns the number of verification
-    units (tile confirmation plus each prune decision re-examined); raises
-    on any mismatch.
+    must equal, at every cell, the periodic extension of that raw tile,
+    whose row i % m repeated and cut to the array's width gives row i; so
+    the direct columns are a function of the raw tile alone.  The first
+    sample of each distinct raw tile in a sweep and process then re-decides
+    every pruned (R, C) with one verdict pass per R over the direct columns,
+    and, when the tile lies outside its class representative, has its own
+    verdicts recomputed and compared with its class's.  Every recorded hit
+    must pass the public check.  Returns the number of verification units
+    (tile confirmation plus each prune decision the sample's raw tile has
+    re-examined), the same for every sample; raises on any mismatch.
     """
     m = spec.coeff_modulus
     order = spec.alphabet_order
@@ -478,53 +483,53 @@ def _spot_check(
             f"composed tile {composed} differs from the direct tile {flat} "
             f"of vector {vector}"
         )
-    tile_cols = _tile_columns(flat, m)
     fn = PolyIndex.from_coeff_vector(m, spec.deg_x, spec.deg_y, vector)
     generate = generate_poly_array
     if floored:
         fn, generate = FlooredIndex(fn, spec.n, spec.k), generate_floored_array
     c_hi = spec.c_range[1]
     direct = generate(fn, max(spec.r_range[1], m), max(c_hi, m + 1))
-    for i in range(m):
-        for j in range(m):
-            if direct.entry(i, j) != tile_cols[j][i]:
-                raise AssertionError(
-                    f"tile disagrees with direct generation at {(i, j)} "
-                    f"for vector {vector}"
-                )
-    checked = 1
+    rows, cols = direct.rows, direct.cols
+    reps = -(-cols // m)
+    extended = [(flat[i * m : (i + 1) * m] * reps)[:cols] for i in range(m)]
+    if direct.exponents != tuple(
+        itertools.chain.from_iterable(extended[i % m] for i in range(rows))
+    ):
+        cell = next((i, j) for i in range(rows) for j in range(cols)
+                    if direct.entry(i, j) != extended[i % m][j])
+        raise AssertionError(
+            f"direct array differs from the periodic extension of its tile "
+            f"at {cell} for vector {vector}"
+        )
     pruned = range(max(spec.c_range[0], m + 1), c_hi + 1)
-    if pruned:
-        columns = [direct.column(j) for j in range(c_hi)]
-        for R in _dim_values(spec.r_range):
-            if columns[m][:R] != columns[0][:R]:
+    r_values = _dim_values(spec.r_range)
+    raw = tuple(flat)
+    if raw not in memo.spot_tiles:
+        memo.spot_tiles.add(raw)
+        if pruned:
+            columns = [direct.column(j) for j in range(c_hi)]
+            for R in r_values:
+                holds = _aop_holds_widths([col[:R] for col in columns], R, order)
+                for C in pruned:
+                    if holds[C - 1]:
+                        raise AssertionError(
+                            f"full check accepted pruned combination {(R, C)} "
+                            f"for vector {vector}"
+                        )
+        if raw != _phase_class(flat, m, order):
+            own = tuple(_tile_verdicts(_tile_columns(flat, m), m, order,
+                                       spec.r_range, spec.c_range))
+            if own != verdicts:
                 raise AssertionError(
-                    f"columns 0 and {m} differ under direct generation "
-                    f"for vector {vector}"
+                    f"tile of vector {vector} has verdicts {own}, "
+                    f"its column-phase class {verdicts}"
                 )
-            holds = _aop_holds_widths([col[:R] for col in columns], R, order)
-            for C in pruned:
-                if holds[C - 1]:
-                    raise AssertionError(
-                        f"full check accepted pruned combination {(R, C)} "
-                        f"for vector {vector}"
-                    )
-                checked += 1
     for R, C in verdicts:
         if not check_aop(generate(fn, R, C)).holds:
             raise AssertionError(
                 f"recorded hit {(R, C)} fails the public check for vector {vector}"
             )
-    raw = tuple(flat)
-    if raw != _phase_class(flat, m, order) and raw not in memo.cross_checked:
-        memo.cross_checked.add(raw)
-        own = tuple(_tile_verdicts(tile_cols, m, order, spec.r_range, spec.c_range))
-        if own != verdicts:
-            raise AssertionError(
-                f"tile of vector {vector} has verdicts {own}, "
-                f"its column-phase class {verdicts}"
-            )
-    return checked
+    return 1 + len(pruned) * len(r_values)
 
 
 def _index_function_block(
@@ -615,14 +620,11 @@ def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
         seq = PhaseSequence(n, exps)
         if not is_perfect_sequence(seq):
             continue
-        divisors = []
-        for C in range(1, L + 1):
-            if L % C:
-                continue
-            if check_aop(PhaseArray(n, L // C, C, exps)).holds:
-                divisors.append(C)
         hits_total += 1
+        # only a recorded hit reports its AOP divisors
         if len(records) < spec.hit_limit:
+            divisors = [C for C in range(1, L + 1)
+                        if L % C == 0 and check_aop(PhaseArray(n, L // C, C, exps)).holds]
             records.append((idx, divisors))
     return {
         "hits": records,

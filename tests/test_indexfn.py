@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aopseq.aop import check_aop
 from aopseq.indexfn import (
@@ -130,6 +132,38 @@ def test_generate_arrays_match_entrywise_eval():
     for i in range(7):
         for j in range(7):
             assert farr.entry(i, j) == index_entry(f, i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generated_arrays_match_per_cell_evaluation(data):
+    """Column-by-column generation against per-cell `poly_eval` and
+    `index_entry`, for every modulus up to 16 and each of its floored splits
+    n * K, with raw coefficients that are negative or at least m, and arrays
+    past three periods in both directions."""
+    m = data.draw(st.integers(1, 16), label="m")
+    n = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]), label="n")
+    deg_x = data.draw(st.integers(0, 4), label="deg_x")
+    deg_y = data.draw(st.integers(0, 4), label="deg_y")
+    coeffs = {
+        (a, b): data.draw(st.integers(-2 * m - 2, 2 * m + 2))
+        for a in range(deg_x + 1)
+        for b in range(deg_y + 1)
+    }
+    p = PolyIndex(m, coeffs, (deg_x, deg_y))
+    rows = data.draw(st.integers(1, 3 * m + 1), label="rows")
+    cols = data.draw(st.integers(1, 3 * m + 1), label="cols")
+    arr = generate_poly_array(p, rows, cols)
+    assert (arr.order, arr.rows, arr.cols) == (m, rows, cols)
+    assert arr.exponents == tuple(
+        poly_eval(p, i, j) for i in range(rows) for j in range(cols)
+    )
+    f = FlooredIndex(p, n, m // n)
+    farr = generate_floored_array(f, rows, cols)
+    assert (farr.order, farr.rows, farr.cols) == (m // n, rows, cols)
+    assert farr.exponents == tuple(
+        index_entry(f, i, j) for i in range(rows) for j in range(cols)
+    )
 
 
 def test_column_duplication_witness():

@@ -652,3 +652,88 @@ def test_progress_lines_come_from_the_parent(workers, capfd):
         assert "/s, ETA " in line
     assert lines[-1].endswith("ETA 0.0s")
     assert f"{loud.total_candidates} candidates" in lines[-1]
+
+
+def test_raw_phase_divisors_only_for_recorded_hits(monkeypatch):
+    """AOP divisors are computed for the records a block keeps and for no
+    other perfect sequence: n=3 L=9 has 162 hits, three divisors each."""
+    calls = []
+
+    def counting(array, _real=search.check_aop):
+        calls.append(array.cols)
+        return _real(array)
+
+    monkeypatch.setattr(search, "check_aop", counting)
+    spec = SearchSpec(family="raw-phase", n=3, length=9, hit_limit=0)
+    assert run_search(spec).hits_total == 162
+    assert calls == []
+    assert len(run_search(replace(spec, hit_limit=4096)).hits) == 162
+    assert len(calls) == 486
+
+
+FLOORED_SPOT = SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1,
+                          r_range=(1, 6), c_range=(1, 6))
+
+
+def test_direct_array_off_its_tile_extension_raises(monkeypatch):
+    """Cell (m, 1) lies outside the top-left tile and outside column m; a
+    direct array changed there must still fail the periodic-extension check."""
+    real = search.generate_floored_array
+
+    def changed_below_the_tile(f, rows, cols):
+        array = real(f, rows, cols)
+        m = f.poly.modulus
+        if rows <= m or cols < 2:
+            return array
+        exps = list(array.exponents)
+        exps[m * cols + 1] += 1
+        return replace(array, exponents=tuple(exps))
+
+    monkeypatch.setattr(search, "generate_floored_array", changed_below_the_tile)
+    with pytest.raises(AssertionError, match="periodic extension of its tile at"):
+        run_search(FLOORED_SPOT)
+
+
+def test_pruned_width_accepted_by_the_full_check_raises(monkeypatch):
+    """A verdict pass that accepts every width must be caught by the sampled
+    re-decision of the pruned column counts."""
+    monkeypatch.setattr(search, "_aop_holds_widths",
+                        lambda cols, rows, order: [True] * len(cols))
+    with pytest.raises(AssertionError, match="full check accepted pruned combination"):
+        run_search(FLOORED_SPOT)
+
+
+def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
+    """Every sample counts its spot units and regenerates its array, but the
+    pruned (R, C) are re-decided only for the first sample of each distinct
+    raw tile: one pass per R over c_hi = 6 > m = 4 direct columns, while
+    class verdict passes see at most m columns."""
+    spec = SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=2,
+                      r_range=(1, 6), c_range=(1, 6))
+    counts = {"generate": 0, "spot_passes": 0}
+    real_generate, real_widths = search.generate_floored_array, search._aop_holds_widths
+
+    def generate(*args):
+        counts["generate"] += 1
+        return real_generate(*args)
+
+    def widths(cols, rows, order):
+        counts["spot_passes"] += len(cols) == 6
+        return real_widths(cols, rows, order)
+
+    monkeypatch.setattr(search, "generate_floored_array", generate)
+    monkeypatch.setattr(search, "_aop_holds_widths", widths)
+    report = run_search(spec)
+    m = spec.coeff_modulus
+    mono = search._monomial_rows(spec)
+    samples = range(0, report.total_candidates, search.SPOT_SAMPLE_STRIDE)
+    raw_tiles = {
+        tuple(sum(c * r for c, r in zip(search._digits(idx, m, spec.vector_width), row))
+              % m // spec.n for row in mono)
+        for idx in samples
+    }
+    assert report.total_candidates == 4096
+    assert report.spot_checks == 533
+    assert counts["generate"] == 103
+    assert len(raw_tiles) < len(samples)
+    assert counts["spot_passes"] == 6 * len(raw_tiles)
