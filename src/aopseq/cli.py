@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -43,7 +42,6 @@ from .seqmodel import (
 
 __all__ = [
     "CliInputError",
-    "RunConfig",
     "read_object",
     "write_object",
     "main",
@@ -61,26 +59,12 @@ class CliInputError(ValueError):
     """Malformed file or inconsistent command inputs."""
 
 
-# Largest alphabet order a file may declare.  Every exact correlation value
-# is a count vector with one entry per n-th root of unity, and the zero test
-# keeps an index plan of the same size per order, so the memory a file costs
-# grows with its declared order, not with its data.
+# Largest alphabet order a file may declare, `construct --n` may write, and
+# `scatter` may correlate over (n*K).  Every exact correlation value is a
+# count vector with one entry per n-th root of unity, and the zero test keeps
+# an index plan of the same size per order, so the memory a file costs grows
+# with its declared order, not with its data.
 MAX_ORDER = 1024
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one invocation, echoed into report output."""
-
-    command: str
-    mode: str = "exact"
-
-    def echo_lines(self) -> list[str]:
-        return [
-            f"config-command: {self.command}",
-            f"config-mode: {self.mode}",
-            f"config-tool-version: aopseq {__version__}",
-        ]
 
 
 def _provenance_lines(command: str, parameters: dict) -> list[str]:
@@ -212,20 +196,13 @@ def read_object(path: Union[str, Path]) -> FileObject:
     raise CliInputError(f"unknown format tag {tag!r}")
 
 
-def _write_report(path: str, lines: list[str]) -> None:
-    if path:
-        Path(path).write_text("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.family != "frank":
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise CliInputError(f"unknown family {args.family!r}")
     if args.n < 1:
-        print("--n must be positive", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise CliInputError("--n must be positive")
+    if args.n > MAX_ORDER:
+        raise CliInputError(f"--n {args.n} exceeds the cap of {MAX_ORDER}")
     array = frank_array(args.n)
     seq = flatten(array)
     # the formula is transcribed from the literature; never write a file
@@ -256,25 +233,22 @@ def _float_advisory(obj: FileObject) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig("verify", mode=args.mode)
-    try:
-        obj = read_object(args.path)
-    except CliInputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    lines = config.echo_lines()
+    obj = read_object(args.path)
+    lines = [
+        "config-command: verify",
+        f"config-mode: {args.mode}",
+        f"config-tool-version: aopseq {__version__}",
+    ]
     holds = True
     if isinstance(obj, PhaseSequence):
         perfect = is_perfect_sequence(obj)
         holds &= perfect
         lines.append(f"perfect: {str(perfect).lower()}")
         if args.divisor:
+            if args.divisor < 0:
+                raise CliInputError("--divisor must be positive")
             if len(obj) % args.divisor:
-                print(
-                    f"divisor {args.divisor} does not divide length {len(obj)}",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT_ERROR
+                raise CliInputError(f"divisor {args.divisor} does not divide length {len(obj)}")
             verdict = check_aop(unflatten(obj, len(obj) // args.divisor, args.divisor))
             holds &= verdict.holds
             lines.append(f"aop: {str(verdict.holds).lower()}")
@@ -305,7 +279,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "float":
         lines += _float_advisory(obj)
     lines.append(f"verdict: {'holds' if holds else 'fails'}")
-    _write_report(args.out or "", lines)
+    if args.out:
+        Path(args.out).write_text("\n".join(lines) + "\n")
+    else:
+        print("\n".join(lines))
     return EXIT_OK if holds else EXIT_PREDICATE_FAILED
 
 
@@ -331,13 +308,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             progress_every=args.progress_every,
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        report = run_search(spec)
-    except BudgetExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise CliInputError(str(exc)) from exc
+    report = run_search(spec)
     text = report.canonical_json()
     if args.out:
         Path(args.out).write_text(text)
@@ -369,14 +341,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
+    tables = [tuple(_int_list(t)) for t in (args.a, args.b, args.cc)]
     try:
-        a = _int_list(args.a)
-        b = _int_list(args.b)
-        cc = _int_list(args.cc)
-        spec = BiQuadraticSpec(args.n, args.k, tuple(a), tuple(b), tuple(cc), args.rows)
-    except (CliInputError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        spec = BiQuadraticSpec(args.n, args.k, *tables, args.rows)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+    if spec.period > MAX_ORDER:
+        raise CliInputError(f"order n*K = {spec.period} exceeds the cap of {MAX_ORDER}")
     report = collapse_check(spec)
     print(f"collapse: {str(report.collapsed).lower()}")
     print(f"period-verified: {str(report.period_verified).lower()}")
@@ -396,14 +367,9 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    try:
-        obj = read_object(args.path)
-    except CliInputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    obj = read_object(args.path)
     if not isinstance(obj, PhaseArray):
-        print("projection needs a phase-array file", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise CliInputError("projection needs a phase-array file")
     proj = column_sum(obj) if args.axis == "cols" else row_sum(obj)
     perfect = is_perfect_projection(proj)
     peak = sum(complex(v).real**2 + complex(v).imag**2 for v in proj.values)
@@ -491,6 +457,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (CliInputError, BudgetExceeded) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except AssertionError as exc:
         # internal cross-checks speak up with the refutation-grade code
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ from itertools import chain
 from operator import sub
 from typing import TextIO
 
-from .cyclotomic import CyclotomicInt, counts_is_zero, counts_to_complex, cyc_conj
+from .cyclotomic import CyclotomicInt, counts_is_zero, counts_to_complex
 from .seqmodel import PhaseArray, PhaseSequence, ProjectionSequence, column_sum, flatten
 
 __all__ = [
@@ -104,14 +104,14 @@ class CorrelationProfile:
         if len(self.shape) == 1:
             (L,) = self.shape
             return all(
-                self.values[t].equals(cyc_conj(self.values[(L - t) % L]))
+                self.values[t].equals(self.values[(L - t) % L].conjugate())
                 for t in range(L)
             )
         R, C = self.shape
         for v in range(R):
             for h in range(C):
                 mirror = self.values[((R - v) % R) * C + ((C - h) % C)]
-                if not self.values[v * C + h].equals(cyc_conj(mirror)):
+                if not self.values[v * C + h].equals(mirror.conjugate()):
                     return False
         return True
 

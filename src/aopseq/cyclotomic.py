@@ -27,7 +27,7 @@ independent reference the tests compare the structural test against.
 
 Coefficients are plain Python integers and therefore cannot overflow or wrap.
 
-A float view (`cyc_to_complex`) exists for cross-checks and CSV output; it
+A float view (`complex(value)`) exists for cross-checks and CSV output; it
 never decides a verdict.  When the module-level audit is enabled, every exact
 zero test is additionally evaluated numerically and exact/float disagreements
 are counted (see `ConcordanceAudit`).
@@ -46,13 +46,7 @@ __all__ = [
     "CyclotomicInt",
     "CyclotomicPolynomial",
     "cyclotomic_polynomial",
-    "cyc_add",
-    "cyc_sub",
-    "cyc_neg",
-    "cyc_mul",
     "cyc_mul_root",
-    "cyc_conj",
-    "cyc_to_complex",
     "counts_is_zero",
     "counts_to_complex",
     "root_table",
@@ -316,45 +310,43 @@ class CyclotomicInt:
 
     def equals(self, other: "CyclotomicInt") -> bool:
         """Ring equality: the difference represents zero."""
-        return cyc_sub(self, other).is_zero()
+        return (self - other).is_zero()
+
+    def _same_order(self, other: "CyclotomicInt") -> None:
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} != {other.order}")
 
     def conjugate(self) -> "CyclotomicInt":
-        return cyc_conj(self)
+        """Complex conjugation: w^e maps to w^(n-e)."""
+        return CyclotomicInt(self.order, (self.coeffs[0],) + self.coeffs[:0:-1])
 
     def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return cyc_add(self, other)
+        self._same_order(other)
+        return CyclotomicInt(self.order, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return cyc_sub(self, other)
+        self._same_order(other)
+        return CyclotomicInt(self.order, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CyclotomicInt":
-        return cyc_neg(self)
+        return CyclotomicInt(self.order, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return cyc_mul(self, other)
+        """Full product (cyclic convolution of coefficient vectors)."""
+        self._same_order(other)
+        n = self.order
+        out = [0] * n
+        for e1, c1 in enumerate(self.coeffs):
+            if c1 == 0:
+                continue
+            for e2, c2 in enumerate(other.coeffs):
+                if c2:
+                    out[(e1 + e2) % n] += c1 * c2
+        return CyclotomicInt(n, tuple(out))
 
     def __complex__(self) -> complex:
-        return cyc_to_complex(self)
-
-
-def _require_same_order(a: CyclotomicInt, b: CyclotomicInt) -> None:
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-
-
-def cyc_add(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    """Component-wise sum."""
-    _require_same_order(a, b)
-    return CyclotomicInt(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyc_sub(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    _require_same_order(a, b)
-    return CyclotomicInt(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyc_neg(a: CyclotomicInt) -> CyclotomicInt:
-    return CyclotomicInt(a.order, tuple(-x for x in a.coeffs))
+        """Double-precision value; advisory only, never decides verdicts."""
+        return counts_to_complex(self.coeffs, self.order)
 
 
 def cyc_mul_root(a: CyclotomicInt, e: int) -> CyclotomicInt:
@@ -364,28 +356,3 @@ def cyc_mul_root(a: CyclotomicInt, e: int) -> CyclotomicInt:
     if e == 0:
         return a
     return CyclotomicInt(n, a.coeffs[n - e :] + a.coeffs[: n - e])
-
-
-def cyc_mul(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    """Full product (cyclic convolution of coefficient vectors)."""
-    _require_same_order(a, b)
-    n = a.order
-    out = [0] * n
-    for e1, c1 in enumerate(a.coeffs):
-        if c1 == 0:
-            continue
-        for e2, c2 in enumerate(b.coeffs):
-            if c2:
-                out[(e1 + e2) % n] += c1 * c2
-    return CyclotomicInt(n, tuple(out))
-
-
-def cyc_conj(a: CyclotomicInt) -> CyclotomicInt:
-    """Complex conjugation: w^e maps to w^(n-e)."""
-    n = a.order
-    return CyclotomicInt(n, (a.coeffs[0],) + a.coeffs[:0:-1])
-
-
-def cyc_to_complex(a: CyclotomicInt) -> complex:
-    """Double-precision value; advisory only, never decides verdicts."""
-    return counts_to_complex(a.coeffs, a.order)

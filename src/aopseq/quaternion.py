@@ -30,8 +30,6 @@ __all__ = [
     "VEC",
     "QuatUnit",
     "QuaternionSequence",
-    "unit_mul",
-    "unit_conj",
     "vector_mul",
     "quat_autocorrelate",
     "quat_is_perfect",
@@ -72,14 +70,6 @@ VEC = tuple(
     tuple((1 if u & 1 == 0 else -1) if axis == u >> 1 else 0 for axis in range(4))
     for u in range(8)
 )
-
-
-def unit_mul(u: int, v: int) -> int:
-    return MUL[u][v]
-
-
-def unit_conj(u: int) -> int:
-    return CONJ[u]
 
 
 def vector_mul(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int, int]:

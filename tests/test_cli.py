@@ -123,6 +123,13 @@ def test_verify_divisor_mismatch_exits_two(tmp_path):
     assert cli.main(["verify", str(path), "--divisor", "3"]) == 2
 
 
+def test_verify_negative_divisor_exits_two(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    assert cli.main(["construct", "--family", "frank", "--n", "6", "--out", str(path)]) == 0
+    assert cli.main(["verify", str(path), "--divisor", "-6"]) == 2
+    assert capsys.readouterr().err == "--divisor must be positive\n"
+
+
 def test_quaternion_file_round_trip(tmp_path, capsys):
     path = tmp_path / "quat.txt"
     path.write_text(
@@ -230,9 +237,18 @@ def test_construct_self_validation_exits_three(monkeypatch, capsys):
     assert "self-validation" in capsys.readouterr().err
 
 
-def test_construct_input_errors(capsys):
+def test_construct_input_errors(tmp_path, capsys):
     assert cli.main(["construct", "--family", "other", "--n", "2"]) == 2
     assert cli.main(["construct", "--family", "frank", "--n", "0"]) == 2
+    # order n above the cap is a file no reader accepts: refused before any
+    # construction or self-validation work, and nothing is written
+    out = tmp_path / "big.txt"
+    t0 = time.monotonic()
+    code = cli.main(["construct", "--n", str(cli.MAX_ORDER + 1), "--out", str(out)])
+    assert code == 2
+    assert time.monotonic() - t0 < 5.0
+    assert not out.exists()
+    assert f"cap of {cli.MAX_ORDER}" in capsys.readouterr().err
 
 
 def test_scatter_cli(tmp_path, capsys):
@@ -258,6 +274,17 @@ def test_scatter_cli(tmp_path, capsys):
         ["scatter", "--n", "2", "--k", "2", "--a", "2,x", "--b", "0,0",
          "--cc", "0,0", "--rows", "4"]
     ) == 2
+    # order n*K past the cap is refused before any table of that size exists
+    capsys.readouterr()
+    t0 = time.monotonic()
+    assert cli.main(
+        ["scatter", "--n", "1000000", "--k", "1000000", "--a", "2,0", "--b", "0,0",
+         "--cc", "0,0", "--rows", "4"]
+    ) == 2
+    assert time.monotonic() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap of {cli.MAX_ORDER}" in captured.err
 
 
 def test_project_rejects_non_arrays(tmp_path):

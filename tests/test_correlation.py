@@ -28,7 +28,7 @@ from aopseq.correlation import (
     projection_sum_check_all,
     write_profile_csv,
 )
-from aopseq.cyclotomic import CyclotomicInt, cyc_add, cyc_conj, cyc_mul, root_table
+from aopseq.cyclotomic import CyclotomicInt, root_table
 from aopseq.indexfn import frank_array, frank_sequence
 from aopseq.seqmodel import PhaseArray, PhaseSequence, ProjectionSequence, column_sum
 
@@ -181,7 +181,7 @@ def test_product_counts_matches_ring_products(case):
     L = len(vals)
     expected = CyclotomicInt.zero(n)
     for i in range(L):
-        expected = cyc_add(expected, cyc_mul(vals[i], cyc_conj(vals[(i + tau) % L])))
+        expected = expected + vals[i] * vals[(i + tau) % L].conjugate()
     assert tuple(product_counts(vals, tau, n)) == expected.coeffs
 
 

@@ -11,8 +11,6 @@ from aopseq.quaternion import (
     quat_autocorrelate,
     quat_is_perfect,
     structure_check,
-    unit_conj,
-    unit_mul,
     vector_mul,
 )
 
@@ -63,9 +61,10 @@ def test_table_agrees_with_vector_product():
             w = MUL[u][v]
             assert vector_mul(VEC[u], VEC[v]) == VEC[w]
     for u in range(8):
-        assert unit_conj(u) == CONJ[u]
+        w, x, y, z = VEC[u]
+        assert VEC[CONJ[u]] == (w, -x, -y, -z)
         assert NEG[NEG[u]] == u
-        assert unit_mul(u, CONJ[u]) == 0  # q * conj(q) = 1
+        assert MUL[u][CONJ[u]] == 0  # q * conj(q) = 1
 
 
 def test_symbol_round_trip():
