@@ -66,6 +66,12 @@ class CliInputError(ValueError):
 # with its declared order, not with its data.
 MAX_ORDER = 1024
 
+# Largest number of trace terms (rows times column pairs) `scatter` builds.
+# Each column pair's trace keeps one term per row, so time and memory grow
+# with that product.  Three columns at 100,000 rows, the largest run
+# accepted, took 1.1-1.4 s and 64 MB peak RSS on a 2-vCPU host.
+MAX_SCATTER_TERMS = 300_000
+
 
 def _provenance_lines(command: str, parameters: dict) -> list[str]:
     rendered = " ".join(f"{k}={parameters[k]}" for k in sorted(parameters))
@@ -239,6 +245,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"config-mode: {args.mode}",
         f"config-tool-version: aopseq {__version__}",
     ]
+    if args.divisor and not isinstance(obj, PhaseSequence):
+        # an array's divisor is its column count; other objects have none
+        if not isinstance(obj, PhaseArray):
+            raise CliInputError("--divisor applies to phase-sequence and phase-array files")
+        if args.divisor != obj.cols:
+            raise CliInputError(
+                f"divisor {args.divisor} differs from the array's {obj.cols} columns"
+            )
     holds = True
     if isinstance(obj, PhaseSequence):
         perfect = is_perfect_sequence(obj)
@@ -348,6 +362,12 @@ def cmd_scatter(args: argparse.Namespace) -> int:
         raise CliInputError(str(exc)) from exc
     if spec.period > MAX_ORDER:
         raise CliInputError(f"order n*K = {spec.period} exceeds the cap of {MAX_ORDER}")
+    pairs = spec.cols * (spec.cols - 1) // 2
+    if spec.rows * pairs > MAX_SCATTER_TERMS:
+        raise CliInputError(
+            f"--rows {spec.rows} over {pairs} column pairs makes {spec.rows * pairs} "
+            f"trace terms, past the cap of {MAX_SCATTER_TERMS}"
+        )
     report = collapse_check(spec)
     print(f"collapse: {str(report.collapsed).lower()}")
     print(f"period-verified: {str(report.period_verified).lower()}")

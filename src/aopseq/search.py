@@ -27,9 +27,26 @@ for the floored family.  Verdicts are memoized per column-phase class of the
 tile: every column is shifted mod the alphabet order so that its row-0 entry
 is 0.  A constant phase on a column multiplies its cross-correlations by a
 unit and leaves its autocorrelation unchanged, so both AOP conditions keep
-their truth values for every (R, C).  On top of that, each distinct head
-tile gets one verdict row, its class verdicts for every tail, so a
-candidate's verdicts are one lookup; tallies are kept per verdict tuple.
+their truth values for every (R, C).  On top of that, verdict rows hold
+the class verdicts of a head tile with every tail, so a candidate's
+verdicts are one lookup; tallies are kept per verdict tuple.  A head tile
+is the tile of its last row's digits, tabulated once per sweep, plus the
+tile of its other digits, rebuilt only when those change.
+
+Head tiles that differ by a tail tile share one row.  Let s (+) t be the
+tail whose coefficients are those of tails s and t added digit-wise mod m.
+Tiles are linear in the coefficients, so head tile h + tails[s] with tail t
+composes to h + tails[s (+) t], the tile of h with tail s (+) t: its row is
+h's row read through the index map t -> s (+) t.  The tails s whose tile is
+itself a head tile, the only ones for which h + tails[s] is ever a head
+tile, are those with deg_x! q_s(j) = 0 mod m at every j, q_s being the
+tail's polynomial in y (falling-factorial normal form; Singmaster 1974).
+When a new head tile h appears it is registered under the identity map and
+h + tails[s] under s's map for each such s; rows still fill on demand, slot
+s (+) t from composing the current head tile with tails[t].  A sweep
+therefore composes one tile per (coset of head tiles, tail) rather than one
+per (head tile, tail).
+
 A class's verdicts take one pass per row count R over its first
 min(max C, period) columns: condition 1 at C is condition 1 at C - 1 plus
 the pairs of column C - 1, so every C together cost one condition-1 check
@@ -47,7 +64,10 @@ raw-quaternion.  The parent keeps a block's records unless it already holds
 it merges the kept lists once by index and builds report entries from the
 merged records until it has `hit_limit` of them.
 
-One candidate in a hundred is re-checked the slow way: its tile is built
+One candidate in a hundred is re-checked the slow way.  First, the
+verdicts its head tile's shared row holds for it must be the verdicts of the
+class of its own composed tile, which filling that slot decided; this
+comparison adds no `spot_checks` units.  Then its tile is built
 directly from the coefficient vector and must equal the composed tile, and
 the array is regenerated directly from the index function (column by
 column, on unreduced i and j) and must equal the periodic extension of that
@@ -365,31 +385,88 @@ def _monomial_rows(spec: SearchSpec) -> list[list[int]]:
     return rows
 
 
+def _tail_vectors(
+    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """Every tail in tail-index order: each last x-power row of
+    coefficients, or each collapse suffix."""
+    if suffixes is not None:
+        return suffixes
+    return list(itertools.product(range(spec.coeff_modulus), repeat=spec.deg_y + 1))
+
+
+def _row_tiles(
+    vectors, mono: list[list[int]], cols: slice, m: int
+) -> list[tuple[int, ...]]:
+    """The tile mod m, row-major, of each coefficient vector placed at the
+    vector positions `cols`, the others zero."""
+    part = [row[cols] for row in mono]
+    return [tuple(sum(c * v for c, v in zip(vec, r)) % m for r in part) for vec in vectors]
+
+
 def _tail_tiles(
     spec: SearchSpec,
     suffixes: Optional[list[tuple[int, ...]]],
     mono: list[list[int]],
 ) -> list[tuple[int, ...]]:
-    """The tile mod m, row-major, of each tail in tail-index order: every
-    last x-power row of coefficients, or each collapse suffix."""
-    m = spec.coeff_modulus
+    """The tile of each tail in tail-index order."""
     width = spec.deg_y + 1
-    tails = itertools.product(range(m), repeat=width) if suffixes is None else suffixes
-    tail_mono = [row[-width:] for row in mono]
+    return _row_tiles(_tail_vectors(spec, suffixes), mono,
+                      slice(spec.vector_width - width, None), spec.coeff_modulus)
+
+
+def _shared_tails(
+    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
+) -> list[int]:
+    """The tails s whose tile is also a head tile, in tail-index order.
+
+    The tail tile is i^d q_s(j) with d = deg_x and q_s the tail's polynomial
+    in y.  In the falling-factorial basis i^d = (i)_d + (terms of lower
+    degree in i), and d! divides (i)_d, so when d! q_s(j) = 0 mod m at every
+    j the tile is a combination of i^a q_s(j), a < d: a head tile.
+    Conversely a head tile has degree < d in i at each fixed j, and c i^d is
+    such a function mod m only when d! c = 0 mod m (Singmaster 1974)."""
+    m = spec.coeff_modulus
+    vanish = m // math.gcd(m, math.factorial(spec.deg_x))
+    return [s for s, tail in enumerate(_tail_vectors(spec, suffixes))
+            if _leading_vanishes(tail, m, vanish)]
+
+
+def _tail_shifts(
+    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]], shared: list[int]
+) -> list[list[int]]:
+    """For each s in `shared`, its index map t -> s (+) t, the tail whose
+    coefficients are those of tails s and t added digit-wise mod m (the
+    collapse suffixes are closed under that sum)."""
+    m = spec.coeff_modulus
+    vectors = _tail_vectors(spec, suffixes)
+    position = {v: t for t, v in enumerate(vectors)}
     return [
-        tuple(sum(c * v for c, v in zip(tail, r)) % m for r in tail_mono)
-        for tail in tails
+        [position[tuple([(a + b) % m for a, b in zip(vectors[s], v)])] for v in vectors]
+        for s in shared
     ]
+
+
+def _upper_width(spec: SearchSpec) -> int:
+    """The number of head digits above the last head row (x-powers below
+    deg_x - 1); 0 when the head is that row alone or empty."""
+    return max(spec.vector_width - 2 * (spec.deg_y + 1), 0)
 
 
 Verdicts = tuple[tuple[int, int], ...]
 
 
 class _SweepMemo:
-    """One sweep's state in one process: the collapse suffixes, monomial rows
-    and tail tiles of an index-function sweep, its verdicts per column-phase
-    class and per head tile (a row of the verdicts of every tail, filled on
-    demand), and the raw tiles a spot check has already re-decided."""
+    """One sweep's state in one process.
+
+    For an index-function sweep: the collapse suffixes, monomial rows and
+    tail tiles; the tiles of every value of the last head row, added to the
+    tile of the remaining head digits to build a head tile; the shared tails
+    (one per distinct tile) with their index maps; verdicts per column-phase
+    class; per head tile, a verdict row and the index map through which it
+    reads that row (rows fill on demand and are shared by the head tiles
+    that differ by a shared tail); and the raw tiles a spot check has
+    already re-decided."""
 
     def __init__(
         self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
@@ -397,11 +474,30 @@ class _SweepMemo:
         self.suffixes = suffixes
         self.mono: list[list[int]] = []
         self.tails: list[tuple[int, ...]] = []
+        self.last_head_tiles: list[tuple[int, ...]] = []
+        self.shared: list[int] = []
+        self.shifts: list[list[int]] = []
+        self.identity: list[int] = []
         if spec.family in ("poly", "floored"):
+            m = spec.coeff_modulus
             self.mono = _monomial_rows(spec)
             self.tails = _tail_tiles(spec, suffixes, self.mono)
+            head_width = spec.vector_width - spec.deg_y - 1
+            upper_width = _upper_width(spec)
+            self.last_head_tiles = _row_tiles(
+                itertools.product(range(m), repeat=head_width - upper_width),
+                self.mono, slice(upper_width, head_width), m,
+            )
+            by_tile = {}
+            for s in _shared_tails(spec, suffixes):
+                by_tile.setdefault(self.tails[s], s)
+            self.shared = list(by_tile.values())
+            self.shifts = _tail_shifts(spec, suffixes, self.shared)
+            self.identity = list(range(len(self.tails)))
         self.verdicts: dict[tuple[int, ...], Verdicts] = {}
-        self.rows: dict[tuple[int, ...], list[Optional[Verdicts]]] = {}
+        self.rows: dict[
+            tuple[int, ...], tuple[list[Optional[Verdicts]], list[int]]
+        ] = {}
         self.spot_tiles: set[tuple[int, ...]] = set()
 
 
@@ -536,9 +632,12 @@ def _index_function_block(
     spec: SearchSpec, start: int, stop: int, memo: _SweepMemo
 ) -> dict:
     m = spec.coeff_modulus
-    tail_width = spec.deg_y + 1
-    head_width = spec.vector_width - tail_width
-    head_mono = [row[:-tail_width] for row in memo.mono]
+    order = spec.alphabet_order
+    head_width = spec.vector_width - spec.deg_y - 1
+    upper_width = _upper_width(spec)
+    upper_mono = [row[:upper_width] for row in memo.mono]
+    last_tiles = memo.last_head_tiles
+    n_last = len(last_tiles)
     tails = memo.tails
     n_tails = len(tails)
     divisor = spec.n if spec.family == "floored" else 1
@@ -553,25 +652,39 @@ def _index_function_block(
     room = spec.hit_limit
     tested = 0
     spot_checks = 0
+    upper_index = -1
     for head in range(start // n_tails, -(-stop // n_tails)):
         base = head * n_tails
         lo, hi = max(start, base), min(stop, base + n_tails)
         first = lo + (residue - lo) % mod
         if first >= hi:
             continue
-        digits = _digits(head, m, head_width)
-        head_tile = tuple(
-            sum(c * r for c, r in zip(digits, row) if c) % m for row in head_mono
-        )
-        row = memo.rows.get(head_tile)
-        if row is None:
-            row = memo.rows[head_tile] = [None] * n_tails
+        upper, last = divmod(head, n_last)
+        if upper != upper_index:
+            upper_index = upper
+            digits = _digits(upper, m, upper_width)
+            upper_tile = [sum(c * r for c, r in zip(digits, row) if c)
+                          for row in upper_mono]
+        head_tile = tuple([(u + v) % m for u, v in zip(upper_tile, last_tiles[last])])
+        entry = memo.rows.get(head_tile)
+        if entry is None:
+            # head tile h + tails[s] reads h's row at s (+) t for tail t:
+            # both compose to h + tails[s (+) t]
+            entry = memo.rows[head_tile] = ([None] * n_tails, memo.identity)
+            for s, shift in zip(memo.shared, memo.shifts):
+                member = tuple([(h + v) % m for h, v in zip(head_tile, tails[s])])
+                memo.rows.setdefault(member, (entry[0], shift))
+        row, index_map = entry
+        slots = index_map[first - base : hi - base : mod]
+        picked = [row[slot] for slot in slots]
         # rows fill on demand, so a sparse filter composes no unused tile
-        for t in range(first - base, hi - base, mod):
-            if row[t] is None:
-                composed = [(h + v) % m // divisor for h, v in zip(head_tile, tails[t])]
-                row[t] = _class_verdicts(spec, memo, composed)
-        picked = row[first - base : hi - base : mod]
+        if None in picked:
+            for t, slot in zip(range(first - base, hi - base, mod), slots):
+                if row[slot] is None:
+                    composed = [(h + v) % m // divisor
+                                for h, v in zip(head_tile, tails[t])]
+                    row[slot] = _class_verdicts(spec, memo, composed)
+            picked = [row[slot] for slot in slots]
         tested += len(picked)
         tally.update(picked)
         if room > 0:
@@ -584,9 +697,17 @@ def _index_function_block(
         for idx in range(-(-lo // SPOT_SAMPLE_STRIDE) * SPOT_SAMPLE_STRIDE, hi,
                          SPOT_SAMPLE_STRIDE):
             if idx % mod == residue:
-                tail = tails[idx - base]
-                composed = [(h + v) % m // divisor for h, v in zip(head_tile, tail)]
-                spot_checks += _spot_check(spec, memo, idx, composed, row[idx - base])
+                t = idx - base
+                composed = [(h + v) % m // divisor for h, v in zip(head_tile, tails[t])]
+                verdicts = row[index_map[t]]
+                # the slot was filled from this very tile, so its class is known
+                own = memo.verdicts.get(_phase_class(composed, m, order))
+                if own != verdicts:
+                    raise AssertionError(
+                        f"index {idx} reads verdicts {verdicts} through its head "
+                        f"tile's shared row, its own tile's class has {own}"
+                    )
+                spot_checks += _spot_check(spec, memo, idx, composed, verdicts)
     hits_total = 0
     histogram: dict[str, int] = {}
     max_len = 0

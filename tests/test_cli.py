@@ -130,6 +130,31 @@ def test_verify_negative_divisor_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "--divisor must be positive\n"
 
 
+def test_verify_divisor_on_files_without_one_exits_two(tmp_path, capsys):
+    """An array file's only divisor is its column count, and quaternion and
+    projection files have none: the 4x4 Frank array with `--divisor 3` is
+    an input error, not `aop: true`."""
+    frank = tmp_path / "frank4.txt"
+    assert cli.main(["construct", "--family", "frank", "--n", "4", "--as-array",
+                     "--out", str(frank)]) == 0
+    proj = tmp_path / "proj4.txt"
+    assert cli.main(["project", str(frank), "--out", str(proj)]) == 0
+    quat = tmp_path / "quat.txt"
+    quat.write_text("format: quaternion-sequence/1\nlength: 4\nsymbols: i,j,i,-j\n")
+    assert cli.main(["verify", str(frank), "--divisor", "4"]) == 0
+    assert "aop: true" in capsys.readouterr().out
+    for divisor in ("3", "2", "16", "-4"):
+        assert cli.main(["verify", str(frank), "--divisor", divisor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"divisor {divisor} differs from the array's 4 columns\n"
+    for path in (quat, proj):
+        assert cli.main(["verify", str(path), "--divisor", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--divisor applies to phase-sequence and phase-array files" in captured.err
+
+
 def test_quaternion_file_round_trip(tmp_path, capsys):
     path = tmp_path / "quat.txt"
     path.write_text(
@@ -285,6 +310,21 @@ def test_scatter_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cap of {cli.MAX_ORDER}" in captured.err
+
+
+@pytest.mark.parametrize("cols,rows", [(3, 10_000_000), (3, 100_001), (2, 300_001)])
+def test_scatter_past_the_term_cap_exits_two_quickly(cols, rows, capsys):
+    """Every column pair's trace keeps one term per row, so rows times column
+    pairs is capped: past it the run is refused before any trace is built."""
+    zeros = ",".join(["0"] * cols)
+    t0 = time.monotonic()
+    code = cli.main(["scatter", "--n", "2", "--k", "2", "--a", zeros, "--b", zeros,
+                     "--cc", zeros, "--rows", str(rows)])
+    assert code == 2
+    assert time.monotonic() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap of {cli.MAX_SCATTER_TERMS}" in captured.err
 
 
 def test_project_rejects_non_arrays(tmp_path):

@@ -1,6 +1,7 @@
 """Sweep engine: brute-force agreement, prune soundness, determinism across
 worker counts, budget refusal, filters, and the raw families."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -737,3 +738,147 @@ def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
     assert counts["generate"] == 103
     assert len(raw_tiles) < len(samples)
     assert counts["spot_passes"] == 6 * len(raw_tiles)
+
+
+def head_tile_group(spec):
+    """Every head tile mod m, by closure: the subgroup of tiles generated by
+    the monomial columns of the head coefficients."""
+    m = spec.coeff_modulus
+    mono = search._monomial_rows(spec)
+    group = {(0,) * (m * m)}
+    for col in range(spec.vector_width - spec.deg_y - 1):
+        multiples = {tuple(k * row[col] % m for row in mono) for k in range(m)}
+        group = {tuple([(a + b) % m for a, b in zip(h, x)])
+                 for h in group for x in multiples}
+    return group
+
+
+def shared_tail_cases():
+    cases = []
+    for m in (1, 2, 3, 4, 5, 6, 7, 8, 12):
+        p = next(d for d in range(2, m + 1) if m % d == 0) if m > 1 else 1
+        for deg_x in range(4):
+            for deg_y in range(3):
+                if m ** (deg_x * (deg_y + 1)) > 4096:
+                    continue
+                cases.append(dict(family="poly", n=m, deg_x=deg_x, deg_y=deg_y))
+                cases.append(dict(family="floored", n=p, k=m // p, deg_x=deg_x,
+                                  deg_y=deg_y))
+    for n, k in ((1, 2), (2, 1), (2, 2), (3, 1), (1, 4), (2, 3), (3, 2), (4, 2),
+                 (2, 4), (6, 1), (3, 4), (4, 3), (12, 1)):
+        for deg_y in range(3):
+            if (n * k) ** (2 * (deg_y + 1)) <= 4096:
+                cases.append(dict(family="floored", n=n, k=k, deg_x=2, deg_y=deg_y,
+                                  restriction="collapse"))
+    return cases
+
+
+@pytest.mark.parametrize("case", shared_tail_cases(),
+                         ids=lambda c: "-".join(f"{v}" for v in c.values()))
+def test_shared_tails_are_the_tails_among_head_tiles(case):
+    """The closed form (deg_x! q_s(j) = 0 mod m at every j) picks exactly the
+    tails whose tile is a head tile, against the enumerated head tiles."""
+    spec = SearchSpec(**case)
+    suffixes = search._collapse_suffixes(spec)
+    tails = search._tail_tiles(spec, suffixes, search._monomial_rows(spec))
+    heads = head_tile_group(spec)
+    want = [s for s, tile in enumerate(tails) if tile in heads]
+    assert search._shared_tails(spec, suffixes) == want
+
+
+SHARED_SPEC = SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=1,
+                         r_range=(1, 4), c_range=(1, 5))
+
+
+def test_tail_outside_the_head_tiles_is_never_read(monkeypatch):
+    """Sharing is sound for any tail: a head tile h + tails[s] reads h's row
+    at s (+) t because both compose to h + tails[s (+) t].  A tail outside
+    the head tiles only registers tiles that no head reaches, so adding one
+    changes no report and no verdict count."""
+    calls = []
+    real_verdicts = search._class_verdicts
+
+    def counting(*args):
+        calls.append(1)
+        return real_verdicts(*args)
+
+    monkeypatch.setattr(search, "_class_verdicts", counting)
+    plain = run_search(SHARED_SPEC)
+    plain_calls = len(calls)
+    real = search._shared_tails
+    outside = next(s for s in itertools.count() if s not in real(SHARED_SPEC, None))
+    monkeypatch.setattr(search, "_shared_tails",
+                        lambda spec, suffixes: real(spec, suffixes) + [outside])
+    calls.clear()
+    assert run_search(SHARED_SPEC).canonical_json() == plain.canonical_json()
+    assert len(calls) == plain_calls
+
+
+def test_wrong_shared_row_index_map_raises(monkeypatch):
+    """A head tile h + tails[s] that read h's row without its index map
+    would take the verdicts of h + tails[t] for h + tails[s] + tails[t];
+    the sampled comparison with each index's own tile refuses it."""
+    def unshifted(spec, suffixes, shared):
+        return [list(range(len(search._tail_vectors(spec, suffixes))))] * len(shared)
+
+    monkeypatch.setattr(search, "_tail_shifts", unshifted)
+    with pytest.raises(AssertionError, match="through its head tile's shared row"):
+        run_search(SHARED_SPEC)
+
+
+def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
+    """Serial verdict-class calls on the benchmark sweeps: sweep-floored
+    (16 of 64 tails shared) fills 128 shared rows of 64 slots, sweep-poly
+    (only the zero tail shared) one slot per candidate."""
+    calls = []
+    real = search._class_verdicts
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_class_verdicts", counting)
+    floored = SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=2,
+                         r_range=(1, 8), c_range=(1, 8))
+    assert len(search._shared_tails(floored, None)) == 16
+    assert run_search(floored).total_candidates == 262144
+    assert len(calls) == 8192
+    calls.clear()
+    poly = SearchSpec(family="poly", n=3, deg_x=2, deg_y=2,
+                      r_range=(1, 9), c_range=(1, 9))
+    assert search._shared_tails(poly, None) == [0]
+    assert run_search(poly).total_candidates == 19683
+    assert len(calls) == 19683
+
+
+# sha256 of each canonical report as written before head tiles shared rows
+SHARED_ROW_REPORTS = [
+    (dict(family="poly", n=4, deg_x=2, deg_y=2, r_range=(1, 4), c_range=(1, 5)),
+     "ef137077d95596bc4d3169b4b4d894bc86b1942122d93194b1b0c4623de1490d"),
+    (dict(family="floored", n=2, k=2, deg_x=2, deg_y=2, r_range=(1, 4),
+          c_range=(1, 5)),
+     "ee784f292cfb7577fbf855e2a5197dbcde7b3e2ae7313948c501d6c641cdc2be"),
+    (dict(family="floored", n=3, k=2, deg_x=2, deg_y=2, r_range=(1, 3),
+          c_range=(1, 7), restriction="collapse"),
+     "2a41688604cc9ea7ad22a2a83ea5a76fd102ada9fcf575d6311d616d5014765c"),
+    (dict(family="floored", n=2, k=2, deg_x=3, deg_y=1, r_range=(1, 4),
+          c_range=(1, 5), filter_mod=7, filter_residue=3),
+     "cdc0cb38eb45c682c63e27a72fdb52b6f3d5c23691e0186dd62eb08a2e989421"),
+    (dict(family="poly", n=4, deg_x=3, deg_y=1, r_range=(1, 4), c_range=(1, 5),
+          symmetry="phase-shift"),
+     "4c766487e5f58343a1aa569ab257cf5c71617c472fa734deb6e3b19d7bb1806f"),
+]
+
+
+@pytest.mark.parametrize("case,digest", SHARED_ROW_REPORTS,
+                         ids=["poly4", "floored22", "floored32-collapse",
+                              "filter7", "phase-shift"])
+def test_shared_row_reports_unchanged_at_any_worker_count(case, digest):
+    """Specs whose shared tails are more than the zero tail keep the reports
+    they had when every head tile filled its own row, at 1, 2 and 4 workers."""
+    spec = SearchSpec(**case)
+    suffixes = search._collapse_suffixes(spec)
+    assert len(search._shared_tails(spec, suffixes)) > 1
+    for workers in (1, 2, 4):
+        text = run_search(replace(spec, workers=workers)).canonical_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
