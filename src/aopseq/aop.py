@@ -25,6 +25,9 @@ from typing import Optional
 from .cyclotomic import CyclotomicInt, counts_is_zero
 from .correlation import (
     _array_shift_terms,
+    _array_shifts,
+    _sequence_shifts,
+    _value_shifts,
     autocorrelate_2d,
     diff_counts,
     product_counts,
@@ -160,22 +163,32 @@ def _aop_holds_widths(cols: list[tuple[int, ...]], rows: int, order: int) -> lis
     return verdicts
 
 
+# The three perfection predicates zero-test their off-peak shifts in order
+# and stop at the first nonzero one.  They compute the first off-peak shift
+# directly: a random input almost always fails there and packs nothing.
+# Only when it vanishes do they read the later shifts from the shape's
+# all-shift helper, which packs them when that pays.
+
+
 def is_perfect_sequence(seq: PhaseSequence) -> bool:
     """All off-peak exact autocorrelations are zero."""
-    exps = seq.exponents
-    n = seq.order
-    return all(
-        counts_is_zero(diff_counts(((exps, exps, tau),), n), n) for tau in range(1, len(exps))
-    )
+    exps, n = seq.exponents, seq.order
+    if len(exps) == 1:
+        return True
+    if not counts_is_zero(diff_counts(((exps, exps, 1),), n), n):
+        return False
+    return all(counts_is_zero(c, n) for c in _sequence_shifts(exps, exps, n, 2))
 
 
 def is_perfect_array(array: PhaseArray) -> bool:
     """All off-peak entries of the 2D autocorrelation are zero, tested in
     row-major (v, h) order up to the first nonzero one."""
     n = array.order
-    shifts = _array_shift_terms(array)
-    next(shifts)  # the peak (0, 0)
-    return all(counts_is_zero(diff_counts(terms, n), n) for terms in shifts)
+    if array.rows * array.cols == 1:
+        return True
+    if not counts_is_zero(diff_counts(next(_array_shift_terms(array, 1)), n), n):
+        return False
+    return all(counts_is_zero(c, n) for c in _array_shifts(array, 2))
 
 
 def is_perfect_projection(proj: ProjectionSequence) -> bool:
@@ -185,10 +198,12 @@ def is_perfect_projection(proj: ProjectionSequence) -> bool:
     `is_degenerate_projection` to tell that case apart from ordinary
     perfection.
     """
-    n = proj.order
-    return all(
-        counts_is_zero(product_counts(proj.values, tau, n), n) for tau in range(1, len(proj))
-    )
+    values, n = proj.values, proj.order
+    if len(values) == 1:
+        return True
+    if not counts_is_zero(product_counts(values, 1, n), n):
+        return False
+    return all(counts_is_zero(c, n) for c in _value_shifts(values, n, 2))
 
 
 def is_degenerate_projection(proj: ProjectionSequence) -> bool:

@@ -66,6 +66,18 @@ class CliInputError(ValueError):
 # with its declared order, not with its data.
 MAX_ORDER = 1024
 
+# Largest number of entries a file may hold and `construct --n` may write
+# (n^2): rows x cols of an array, the length of a sequence, and, for a
+# projection, the larger of its length and the number of roots of unity its
+# values sum (R*C for the column sums of an R x C array).  A perfect input
+# at order 32 or above stays on the per-shift path, where the condition-1
+# scan of an n x n array makes n^2 (n-1)/2 zero tests, and a zero test at
+# an order with three or four prime factors costs up to about 0.1 ms.  On a
+# 2-vCPU host the 45 x 45 Frank array written at order 990 verifies in
+# 7 s; at 4,096 entries the 60 x 60 one at order 1020 took 14 s (16 s with
+# `--mode float`).
+MAX_ENTRIES = 2048
+
 # Largest number of trace terms (rows times column pairs) `scatter` builds.
 # Each column pair's trace keeps one term per row, so time and memory grow
 # with that product.  Three columns at 100,000 rows, the largest run
@@ -154,7 +166,27 @@ def _order_field(fields: dict[str, str]) -> int:
     return order
 
 
+def _entries(obj: FileObject) -> int:
+    if isinstance(obj, PhaseArray):
+        return obj.rows * obj.cols
+    if isinstance(obj, QuaternionSequence):
+        return obj.length
+    if isinstance(obj, ProjectionSequence):
+        return max(len(obj), sum(abs(c) for v in obj.values for c in v.coeffs))
+    return len(obj)
+
+
 def read_object(path: Union[str, Path]) -> FileObject:
+    """Parse one file; refuse it when it declares an order above MAX_ORDER or
+    holds more than MAX_ENTRIES entries."""
+    obj = _parse_object(path)
+    entries = _entries(obj)
+    if entries > MAX_ENTRIES:
+        raise CliInputError(f"{path} holds {entries} entries, past the cap of {MAX_ENTRIES}")
+    return obj
+
+
+def _parse_object(path: Union[str, Path]) -> FileObject:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -209,6 +241,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise CliInputError("--n must be positive")
     if args.n > MAX_ORDER:
         raise CliInputError(f"--n {args.n} exceeds the cap of {MAX_ORDER}")
+    if args.n * args.n > MAX_ENTRIES:
+        raise CliInputError(
+            f"--n {args.n} makes {args.n * args.n} entries, past the cap of {MAX_ENTRIES}"
+        )
     array = frank_array(args.n)
     seq = flatten(array)
     # the formula is transcribed from the literature; never write a file
@@ -245,24 +281,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"config-mode: {args.mode}",
         f"config-tool-version: aopseq {__version__}",
     ]
-    if args.divisor and not isinstance(obj, PhaseSequence):
+    if args.divisor is not None:
+        if args.divisor < 1:
+            raise CliInputError("--divisor must be positive")
         # an array's divisor is its column count; other objects have none
-        if not isinstance(obj, PhaseArray):
+        if isinstance(obj, PhaseArray):
+            if args.divisor != obj.cols:
+                raise CliInputError(
+                    f"divisor {args.divisor} differs from the array's {obj.cols} columns"
+                )
+        elif not isinstance(obj, PhaseSequence):
             raise CliInputError("--divisor applies to phase-sequence and phase-array files")
-        if args.divisor != obj.cols:
-            raise CliInputError(
-                f"divisor {args.divisor} differs from the array's {obj.cols} columns"
-            )
+        elif len(obj) % args.divisor:
+            raise CliInputError(f"divisor {args.divisor} does not divide length {len(obj)}")
     holds = True
     if isinstance(obj, PhaseSequence):
         perfect = is_perfect_sequence(obj)
         holds &= perfect
         lines.append(f"perfect: {str(perfect).lower()}")
-        if args.divisor:
-            if args.divisor < 0:
-                raise CliInputError("--divisor must be positive")
-            if len(obj) % args.divisor:
-                raise CliInputError(f"divisor {args.divisor} does not divide length {len(obj)}")
+        if args.divisor is not None:
             verdict = check_aop(unflatten(obj, len(obj) // args.divisor, args.divisor))
             holds &= verdict.holds
             lines.append(f"aop: {str(verdict.holds).lower()}")
@@ -421,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check perfection/orthogonality predicates")
     p.add_argument("path")
-    p.add_argument("--divisor", type=int, default=0)
+    p.add_argument("--divisor", type=int, default=None)
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--convention", choices=("right", "left", "both"), default="right")
     p.add_argument("--out", default="")

@@ -2,43 +2,62 @@
 
 All shifts are cyclic.  A correlation of unimodular entries is a vector of
 term counts, one per exponent difference, interpreted in Z[w]; zero verdicts
-then reduce to the cyclotomic zero test.  Those counts come from one of two
-exponent-difference kernels:
+then reduce to the cyclotomic zero test.  Correlations of full cyclotomic
+integers (projections) are ring products, whose coefficients land at the
+differences of exponents the same way.  Every count vector comes from one
+of two kernels:
 
-- `diff_counts` accumulates the terms of one shift (or a sum of shifted
-  pairs) one exponent difference at a time.  It is the reference, and every
-  early-exit scanner and search path uses it.
-- The packed all-shift kernel (`_pack`, `_shift_counts`) gives the counts of
-  every shift from one big-integer product.  Each sequence becomes one
-  integer with a byte lane for each (position, exponent slot) pair; after
-  the multiplication, two masked adds fold positions mod L and slots mod n,
-  and one `to_bytes` yields the counts (Kronecker substitution; Harvey,
-  J. Symbolic Comput. 2009).  A lane is 1, 2, 4 or 8 bytes, the narrowest
-  that holds the exact number of terms per shift, so no count is truncated.
-  `crosscorrelate`/`autocorrelate` and the `_all` identity checks use it
-  when `_packed_pays`: the direct loop's term count, times a constant
-  fitted on a timing grid, must exceed the summed Karatsuba cost
-  size^log2(3) of the packed products.  Small orders qualify, but orders of
-  32 and above rarely do, because each position carries 2n lanes.  Where the
-  rule says no, the call site runs the per-shift code.
+- The per-shift kernels give one shift at a time: `diff_counts` for
+  exponent differences (one shift, or a sum of shifted pairs) and
+  `product_counts` for ring products.  They are the reference, and every
+  early-exit scanner and search path uses `diff_counts`.
+- The packed all-shift kernel (`_pack`, `_pack_values`, `_shift_counts`)
+  gives the counts of every shift from one big-integer product.  Each
+  sequence becomes one integer with a byte lane for each (position,
+  exponent slot) pair; after the multiplication, two masked adds fold
+  positions mod L and slots mod n, and one `to_bytes` yields the counts
+  (Kronecker substitution; Harvey, J. Symbolic Comput. 2009).  A lane is 1,
+  2, 4 or 8 bytes, the narrowest that holds the exact number of terms per
+  shift, so no count is truncated.  `_packed_pays` decides where it is
+  used: the direct loop's term count, times a constant fitted on a timing
+  grid, must exceed the summed Karatsuba cost size^log2(3) of the packed
+  products.  Small orders qualify, but orders of 32 and above rarely do,
+  because each position carries 2n lanes.
 
-Correlations of full cyclotomic integers (projections) go through the one
-ring-product kernel, `product_counts`.  A float profile is a view of the
-exact counts (`CorrelationProfile.to_complex`) and never decides a verdict.
+Each correlation shape on the verify path has one all-shift helper that
+makes that choice: `_sequence_shifts` for exponent sequences,
+`_array_shifts` for the 2D autocorrelation of an array and `_value_shifts`
+for sequences of `CyclotomicInt` values (which pack only when every
+coefficient is nonnegative, as in column sums).  Each returns the count
+vectors of every shift from a given one on, in order; on the per-shift
+route it computes each shift only when it is read.  The profile builders
+(`crosscorrelate`/`autocorrelate`, `autocorrelate_2d`,
+`projection_autocorrelate`) read every shift from it.  The perfection
+predicates of `aop` compute their first off-peak shift directly, so a
+random input, which almost always fails there, packs nothing; only when
+that shift vanishes do they read the rest from the helper, still
+zero-testing shift by shift up to the first nonzero one.  A float profile
+is a view of the exact counts (`CorrelationProfile.to_complex`) and never
+decides a verdict.
 
 Two-dimensional shifts are ordered (vertical, horizontal) everywhere: the
 profile entry for shift pair (v, h) sits at flat index v*C + h.  Sources vary
 on this ordering; this package states the convention once and sticks to it.
 
-The terms of the 2D autocorrelation at each (v, h) come from one generator,
-`_array_shift_terms`, which `autocorrelate_2d` and the early-exit
-`aop.is_perfect_array` both consume.  Each flattening identity is written
-once as a single-shift helper (`_decomposition_holds`,
-`_projection_sum_holds`).  The public single-shift checks call that helper.
-The `_all` forms build the flattening, the columns and the projection once
-per array.  They then either call the helper at every shift or take each
-side for all shifts from the packed kernel.  The two sides of each identity
-stay independent computations.
+Each flattening identity is written once as a single-shift helper
+(`_decomposition_holds`, `_projection_sum_holds`), which the public
+single-shift checks call.  The `_all` forms build the flattening, the
+columns and the projection once per array.  They then either call the
+helper at every shift or take each side for all shifts from the packed
+kernel; the projection's ring-product side is one packed product of its
+coefficient lanes.  The two sides of each identity stay independent
+computations.  `_ring_equal` compares the two sides as count vectors
+first: both sides expand to the same multiset of terms w^(u - v), one per
+pair of entries (each identity is a bijection of terms), so their counts
+are equal whenever both sides are computed right.  The zero test of the
+difference runs only when the counts differ (or under the concordance
+audit, which cross-checks every zero test), and equal counts are equal
+ring elements, so the verdict is the one the zero test alone would give.
 
 The direct O(L^2) accumulation is the reference path for every verdict.
 """
@@ -52,7 +71,7 @@ from itertools import chain
 from operator import sub
 from typing import TextIO
 
-from .cyclotomic import CyclotomicInt, counts_is_zero, counts_to_complex
+from .cyclotomic import CyclotomicInt, audit, counts_is_zero, counts_to_complex
 from .seqmodel import PhaseArray, PhaseSequence, ProjectionSequence, column_sum, flatten
 
 __all__ = [
@@ -157,16 +176,33 @@ def _lane_bytes(bound: int) -> int:
 
 def _pack(exps, order: int, lane: int, left: bool) -> int:
     """The packed left (reversed, slot u_i) or right (slot order - v_j)
-    factor of an exponent sequence."""
+    factor of an exponent sequence; on the left, a position holding None
+    stays empty."""
     step = 2 * order * lane
     buf = bytearray(len(exps) * step)
     if left:
         for base, e in zip(range(0, len(buf), step), reversed(exps)):
-            buf[base + e * lane] = 1
+            if e is not None:
+                buf[base + e * lane] = 1
     else:
         for base, e in zip(range(0, len(buf), step), exps):
             buf[base + (order - e) * lane] = 1
     return int.from_bytes(buf, "little")
+
+
+def _pack_values(coeffs, order: int, lane: int, left: bool) -> int:
+    """The packed left (reversed) or right (conjugated) factor of a sequence
+    of nonnegative coefficient vectors, each bounded by the lane: the
+    coefficient of w^e sits in slot e on the left and in slot order - e on
+    the right, as a unit w^e of `_pack` does."""
+    pad = (0,) * order
+    if left:
+        lanes = chain.from_iterable(c + pad for c in reversed(coeffs))
+    else:
+        lanes = chain.from_iterable((0,) + c[:0:-1] + c[:1] + pad[1:] for c in coeffs)
+    return int.from_bytes(
+        struct.pack(f"<{2 * order * len(coeffs)}{_LANE_FORMAT[lane]}", *lanes), "little"
+    )
 
 
 def _shift_counts(product: int, length: int, order: int, lane: int) -> list[tuple]:
@@ -190,11 +226,13 @@ def _shift_counts(product: int, length: int, order: int, lane: int) -> list[tupl
 # while the per-shift loop costs one step per term.  A call site takes the
 # packed path when its direct terms times _TERM_COST exceed the summed
 # b^log2(3) of the products it would multiply.  _TERM_COST was fitted on a
-# 2-vCPU x86-64 host under CPython 3.11 by timing both paths of all three
-# call sites at orders 2-64 and shapes 1x2 to 64x16 (714 timings); summed over
-# the grid the rule took 11.98 s against 11.93 s for the faster path of each
-# case and 30.8 s for the per-shift loop.  Direct/packed time ratios for one
-# length-L sequence pair (L = 4, 16, 64, 128; 256 with two-byte lanes):
+# 2-vCPU x86-64 host under CPython 3.11 by timing both paths of the 1D
+# profile and the two identity checks at orders 2-64 and shapes 1x2 to
+# 64x16 (714 timings); summed over the grid the rule took 11.98 s against
+# 11.93 s for the faster path of each case and 30.8 s for the per-shift
+# loop.  The 2D and the cyclotomic-value helpers reuse the constant.
+# Direct/packed time ratios for one length-L sequence pair (L = 4, 16, 64,
+# 128; 256 with two-byte lanes):
 #   order 2   0.89  3.6  13.1  20.2  21.8
 #   order 15  0.64  1.2   2.3   3.1   1.3
 #   order 32  0.38  0.55  0.75  1.02  0.43
@@ -216,48 +254,59 @@ def _packed_pays(terms: int, order: int, lane: int, *products: tuple[int, int]) 
     )
 
 
-def product_counts(vals, tau: int, order: int) -> list[int]:
-    """Coefficients of sum_i vals[i] * conj(vals[i+tau]) for `CyclotomicInt`
-    values, cyclic in len(vals): conjugation maps w^e to w^(-e), so each
-    pair of terms lands at the difference of their exponents."""
-    L = len(vals)
+def _unit_terms(values) -> list[list[tuple[int, int]]]:
+    """The (exponent, coefficient) pairs of each value's nonzero
+    coefficients."""
+    return [[(e, c) for e, c in enumerate(v.coeffs) if c] for v in values]
+
+
+def _term_products(terms, tau: int, order: int) -> list[int]:
+    # conjugation maps w^e to w^(-e), so each pair of terms of values i and
+    # i+tau lands at the difference of their exponents
+    L = len(terms)
     acc = [0] * order
-    for i in range(L):
-        right = vals[(i + tau) % L].coeffs
-        for e1, c1 in enumerate(vals[i].coeffs):
-            if c1:
-                for e2, c2 in enumerate(right):
-                    if c2:
-                        acc[(e1 - e2) % order] += c1 * c2
+    for i, left in enumerate(terms):
+        right = terms[(i + tau) % L]
+        for e1, c1 in left:
+            for e2, c2 in right:
+                acc[(e1 - e2) % order] += c1 * c2
     return acc
 
 
-def autocorrelate(seq: PhaseSequence) -> CorrelationProfile:
-    """Exact periodic autocorrelation over shifts 0..L-1."""
-    return crosscorrelate(seq, seq)
+def product_counts(vals, tau: int, order: int) -> list[int]:
+    """Coefficients of sum_i vals[i] * conj(vals[i+tau]) for `CyclotomicInt`
+    values, cyclic in len(vals)."""
+    return _term_products(_unit_terms(vals), tau, order)
 
 
-def crosscorrelate(a: PhaseSequence, b: PhaseSequence) -> CorrelationProfile:
-    """Exact periodic cross-correlation sum_i a_i * conj(b_{i+tau})."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    n, L = a.order, len(a)
+def _value_products(coeffs, order: int, lane: int) -> list[tuple]:
+    """Every shift of sum_i x_i * conj(x_{i+tau}) from one packed product of
+    nonnegative coefficient vectors whose counts per shift fit the lane."""
+    packed = _pack_values(coeffs, order, lane, True) * _pack_values(coeffs, order, lane, False)
+    return _shift_counts(packed, len(coeffs), order, lane)
+
+
+# --- one all-shift route per correlation shape ------------------------------
+#
+# Each helper returns the count vectors of shifts start, start+1, ... in
+# order.  When `_packed_pays`, all of them come from one packed product made
+# at the call; otherwise each shift is computed as it is consumed, so a
+# caller that stops at the first nonzero shift pays only for what it read.
+
+
+def _sequence_shifts(u, v, order: int, start: int = 0):
+    """sum_i w^(u_i - v_{i+tau}) for tau = start..L-1."""
+    L = len(u)
     lane = _lane_bytes(L)
-    if _packed_pays(L * L, n, lane, (1, L)):
-        counts = _shift_counts(
-            _pack(a.exponents, n, lane, True) * _pack(b.exponents, n, lane, False), L, n, lane
-        )
-    else:
-        counts = (diff_counts(((a.exponents, b.exponents, tau),), n) for tau in range(L))
-    values = tuple(CyclotomicInt(n, tuple(c)) for c in counts)
-    return CorrelationProfile(n, (L,), values)
+    if _packed_pays(L * L, order, lane, (1, L)):
+        packed = _pack(u, order, lane, True) * _pack(v, order, lane, False)
+        return _shift_counts(packed, L, order, lane)[start:]
+    return (diff_counts(((u, v, tau),), order) for tau in range(start, L))
 
 
-def _array_shift_terms(array: PhaseArray):
+def _array_shift_terms(array: PhaseArray, start: int = 0):
     """Yield the `diff_counts` terms of the 2D autocorrelation at each shift
-    pair (v, h), in row-major order starting at the peak (0, 0).
+    pair (v, h), in row-major order from flat index `start`.
 
     With the columns laid end to end (column-major), column j meets column
     j+h shifted down by v exactly when the whole run meets the run of
@@ -266,34 +315,93 @@ def _array_shift_terms(array: PhaseArray):
     R, C = array.rows, array.cols
     cols = array.columns()
     run = tuple(chain.from_iterable(cols))
-    for v in range(R):
+    for v in range(start // C, R):
         down = tuple(chain.from_iterable(col[v:] + col[:v] for col in cols))
-        for h in range(C):
+        for h in range(max(start - v * C, 0), C):
             yield ((run, down, h * R),)
+
+
+def _array_shifts(array: PhaseArray, start: int = 0):
+    """The 2D autocorrelation at flat shifts start..R*C-1, row-major by (v, h).
+
+    Packed, the array is one sequence of R rows of width W = 2C - 1: on the
+    left each row is followed by C - 1 empty positions, on the right by its
+    own first C - 1 entries.  Entry (i, j) on the left then meets entry
+    (i', (j + h) mod C) at horizontal distance h for every h < C.  Folding
+    the positions mod R*W puts shift (v, h) at position v*W + h.  Every
+    other pair lands at a distance in [C, 2C - 2] mod W, and each position
+    still sums R*C pairs, so lanes sized for R*C terms never overflow.
+    """
+    n, R, C = array.order, array.rows, array.cols
+    L, W = R * C, 2 * C - 1
+    lane = _lane_bytes(L)
+    if not _packed_pays(L * L, n, lane, (1, R * W)):
+        return (diff_counts(terms, n) for terms in _array_shift_terms(array, start))
+    rows = [array.row(i) for i in range(R)]
+    left = tuple(chain.from_iterable(row + (None,) * (C - 1) for row in rows))
+    right = tuple(chain.from_iterable(row + row[:-1] for row in rows))
+    packed = _pack(left, n, lane, True) * _pack(right, n, lane, False)
+    counts = _shift_counts(packed, R * W, n, lane)
+    return [counts[v * W + h] for v in range(R) for h in range(C)][start:]
+
+
+def _value_shifts(values, order: int, start: int = 0):
+    """sum_i values[i] * conj(values[i+tau]) for tau = start..L-1.
+
+    Only values whose coefficients are all nonnegative, as counts of roots
+    of unity are, pack.  By Cauchy-Schwarz no shift sums more than
+    sum_i s_i^2 unit products, s_i the coefficient sum of value i, which
+    sizes the lane.  The per-shift cost is one step per pair of nonzero
+    coefficients.
+    """
+    terms = _unit_terms(values)
+    if all(c > 0 for value in terms for _, c in value):
+        bound = sum(sum(c for _, c in value) ** 2 for value in terms)
+        if bound < 1 << 64:
+            lane = _lane_bytes(bound)
+            pairs = sum(map(len, terms)) ** 2
+            if _packed_pays(pairs, order, lane, (1, len(values))):
+                return _value_products([v.coeffs for v in values], order, lane)[start:]
+    return (_term_products(terms, tau, order) for tau in range(start, len(values)))
+
+
+def autocorrelate(seq: PhaseSequence) -> CorrelationProfile:
+    """Exact periodic autocorrelation over shifts 0..L-1."""
+    return crosscorrelate(seq, seq)
+
+
+def _profile(order: int, shape: tuple[int, ...], counts) -> CorrelationProfile:
+    return CorrelationProfile(order, shape, tuple(CyclotomicInt(order, tuple(c)) for c in counts))
+
+
+def crosscorrelate(a: PhaseSequence, b: PhaseSequence) -> CorrelationProfile:
+    """Exact periodic cross-correlation sum_i a_i * conj(b_{i+tau})."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
+    if a.order != b.order:
+        raise ValueError(f"order mismatch: {a.order} != {b.order}")
+    return _profile(a.order, (len(a),), _sequence_shifts(a.exponents, b.exponents, a.order))
 
 
 def autocorrelate_2d(array: PhaseArray) -> CorrelationProfile:
     """Exact 2D periodic autocorrelation, indexed by shift pair (v, h): column
     j meets column j+h shifted down by v."""
-    n = array.order
-    values = tuple(
-        CyclotomicInt(n, tuple(diff_counts(terms, n))) for terms in _array_shift_terms(array)
-    )
-    return CorrelationProfile(n, (array.rows, array.cols), values)
+    return _profile(array.order, (array.rows, array.cols), _array_shifts(array))
 
 
 def projection_autocorrelate(proj: ProjectionSequence) -> CorrelationProfile:
     """Exact autocorrelation of a projection: entries are full cyclotomic
     integers, so each term is a genuine ring product, not an exponent shift."""
-    n = proj.order
-    values = tuple(
-        CyclotomicInt(n, tuple(product_counts(proj.values, tau, n)))
-        for tau in range(len(proj))
-    )
-    return CorrelationProfile(n, (len(proj),), values)
+    return _profile(proj.order, (len(proj),), _value_shifts(proj.values, proj.order))
 
 
 def _ring_equal(lhs, rhs, order: int) -> bool:
+    # both identities pair the same multiset of terms w^(u - v) on their two
+    # sides, so equal count vectors are the expected case; the zero test of
+    # the difference decides only when the counts differ, or when the
+    # concordance audit is on, which checks every zero test against floats
+    if not audit.enabled and tuple(lhs) == tuple(rhs):
+        return True
     return counts_is_zero(list(map(sub, lhs, rhs)), order)
 
 
@@ -353,10 +461,10 @@ def decomposition_check_all(array: PhaseArray) -> bool:
     return True
 
 
-def _projection_sum_holds(values, cols, tau: int, order: int) -> bool:
+def _projection_sum_holds(terms, cols, tau: int, order: int) -> bool:
     # ring products of the projection against exponent differences; summing
     # the 2D profile over every h pairs each column with every column
-    lhs = product_counts(values, tau, order)
+    lhs = _term_products(terms, tau, order)
     rhs = diff_counts([(u, v, tau) for u in cols for v in cols], order)
     return _ring_equal(lhs, rhs, order)
 
@@ -367,7 +475,8 @@ def projection_sum_check(array: PhaseArray, tau: int) -> bool:
     R = array.rows
     if not 0 <= tau < R:
         raise ValueError(f"tau must be in [0, {R}), got {tau}")
-    return _projection_sum_holds(column_sum(array).values, array.columns(), tau, array.order)
+    terms = _unit_terms(column_sum(array).values)
+    return _projection_sum_holds(terms, array.columns(), tau, array.order)
 
 
 def projection_sum_check_all(array: PhaseArray) -> bool:
@@ -377,7 +486,11 @@ def projection_sum_check_all(array: PhaseArray) -> bool:
     R, C = array.rows, array.cols
     lane = _lane_bytes(C * C * R)
     if not _packed_pays(C * C * R * R, n, lane, (1, R)):
-        return all(_projection_sum_holds(values, cols, tau, n) for tau in range(R))
+        terms = _unit_terms(values)
+        return all(_projection_sum_holds(terms, cols, tau, n) for tau in range(R))
+    # each row sum counts C roots of unity, so the ring-product side sums at
+    # most C*C*R unit products per shift and packs into the same lanes
+    lhs = _value_products([v.coeffs for v in values], n, lane)
     # the product of the summed packings is, by distributivity, the sum of
     # the products of every ordered column pair
     rhs = _shift_counts(
@@ -385,7 +498,7 @@ def projection_sum_check_all(array: PhaseArray) -> bool:
         * sum(_pack(col, n, lane, False) for col in cols),
         R, n, lane,
     )
-    return all(_ring_equal(product_counts(values, tau, n), rhs[tau], n) for tau in range(R))
+    return all(_ring_equal(left, right, n) for left, right in zip(lhs, rhs))
 
 
 def write_profile_csv(profile: CorrelationProfile, stream: TextIO) -> None:

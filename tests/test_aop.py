@@ -3,10 +3,12 @@
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aopseq.aop
+import aopseq.correlation
 from aopseq.aop import (
     _aop_holds_widths,
     aop_implies_perfect,
@@ -19,10 +21,17 @@ from aopseq.aop import (
     is_perfect_sequence,
     perfect_array_projection_check,
 )
-from aopseq.correlation import autocorrelate, autocorrelate_2d, crosscorrelate
+from aopseq.correlation import (
+    autocorrelate,
+    autocorrelate_2d,
+    crosscorrelate,
+    decomposition_check_all,
+    projection_autocorrelate,
+    projection_sum_check_all,
+)
 from aopseq.cyclotomic import CyclotomicInt, counts_is_zero
 from aopseq.indexfn import frank_array
-from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum
+from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum, flatten
 from test_correlation import verify_arrays
 
 
@@ -250,3 +259,81 @@ def test_widths_pass_matches_check_aop_at_every_width(case):
         for width in range(1, len(cols) + 1)
     ]
     assert _aop_holds_widths(cols, rows, order) == expected
+
+
+@st.composite
+def changed_frank_arrays(draw):
+    """n x n Frank arrays at n = 12 and 15, where both the predicates and the
+    identity checks take the packed route, with random column phases and
+    at most one entry changed."""
+    n = draw(st.sampled_from((12, 15)))
+    phases = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    exps = [(i * j + phases[j]) % n for i in range(n) for j in range(n)]
+    if draw(st.booleans()):
+        exps[draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+    return PhaseArray(n, n, n, tuple(exps))
+
+
+# each check with the profile whose off-peak values a predicate zero-tests
+ROUTED_CHECKS = [
+    (lambda a: is_perfect_sequence(flatten(a)), lambda a: autocorrelate(flatten(a))),
+    (is_perfect_array, autocorrelate_2d),
+    (lambda a: is_perfect_projection(column_sum(a)),
+     lambda a: projection_autocorrelate(column_sum(a))),
+    (decomposition_check_all, None),
+    (projection_sum_check_all, None),
+    (autocorrelate_2d, None),
+]
+
+
+def _routed_outcomes(arr, packed: bool) -> list:
+    """(result, zero tests) of every routed check with `_packed_pays`
+    answering `packed` at every call site."""
+    tests = []
+
+    def counted(coeffs, order):
+        tests.append(order)
+        return counts_is_zero(coeffs, order)
+
+    outcomes = []
+    with mock.patch.object(aopseq.correlation, "_packed_pays", lambda *args: packed), \
+            mock.patch.object(aopseq.aop, "counts_is_zero", counted), \
+            mock.patch.object(aopseq.correlation, "counts_is_zero", counted):
+        for check, _ in ROUTED_CHECKS:
+            tests.clear()
+            outcomes.append((check(arr), len(tests)))
+    return outcomes
+
+
+@given(st.one_of(near_frank_arrays(), changed_frank_arrays()))
+@settings(max_examples=150, deadline=None)
+def test_packed_and_per_shift_routes_agree(arr):
+    """Both routes give the same verdicts and profile, and the predicates
+    make one zero test per off-peak shift up to and including the first
+    nonzero one on either route."""
+    packed = _routed_outcomes(arr, True)
+    assert packed == _routed_outcomes(arr, False)
+    for (_, profile), (_, tests) in zip(ROUTED_CHECKS, packed):
+        if profile is not None:
+            offpeak = profile(arr).values[1:]
+            nonzero = [i for i, value in enumerate(offpeak) if not value.is_zero()]
+            assert tests == (nonzero[0] + 1 if nonzero else len(offpeak))
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_frank_predicates_take_the_packed_route(n):
+    """Under the fitted rule the three predicates finish a perfect Frank
+    array of order 12 or 15 from one packed product each."""
+    arr = frank_array(n)
+    unpacks = []
+    shift_counts = aopseq.correlation._shift_counts
+
+    def counted(*args):
+        unpacks.append(args)
+        return shift_counts(*args)
+
+    with mock.patch.object(aopseq.correlation, "_shift_counts", counted):
+        for check, _ in ROUTED_CHECKS[:3]:
+            unpacks.clear()
+            assert check(arr)
+            assert len(unpacks) == 1

@@ -124,10 +124,21 @@ def test_verify_divisor_mismatch_exits_two(tmp_path):
 
 
 def test_verify_negative_divisor_exits_two(tmp_path, capsys):
-    path = tmp_path / "seq.txt"
-    assert cli.main(["construct", "--family", "frank", "--n", "6", "--out", str(path)]) == 0
-    assert cli.main(["verify", str(path), "--divisor", "-6"]) == 2
-    assert capsys.readouterr().err == "--divisor must be positive\n"
+    """A divisor below 1, 0 included, is refused for every file type before
+    any predicate runs, never read as "no divisor"."""
+    seq = tmp_path / "seq.txt"
+    assert cli.main(["construct", "--family", "frank", "--n", "6", "--out", str(seq)]) == 0
+    frank = tmp_path / "frank4.txt"
+    assert cli.main(["construct", "--n", "4", "--as-array", "--out", str(frank)]) == 0
+    proj = tmp_path / "proj4.txt"
+    assert cli.main(["project", str(frank), "--out", str(proj)]) == 0
+    quat = tmp_path / "quat.txt"
+    quat.write_text("format: quaternion-sequence/1\nlength: 4\nsymbols: i,j,i,-j\n")
+    capsys.readouterr()
+    for path in (seq, frank, proj, quat):
+        for divisor in ("-6", "0", "-4"):
+            assert cli.main(["verify", str(path), "--divisor", divisor]) == 2
+            assert capsys.readouterr() == ("", "--divisor must be positive\n")
 
 
 def test_verify_divisor_on_files_without_one_exits_two(tmp_path, capsys):
@@ -143,7 +154,7 @@ def test_verify_divisor_on_files_without_one_exits_two(tmp_path, capsys):
     quat.write_text("format: quaternion-sequence/1\nlength: 4\nsymbols: i,j,i,-j\n")
     assert cli.main(["verify", str(frank), "--divisor", "4"]) == 0
     assert "aop: true" in capsys.readouterr().out
-    for divisor in ("3", "2", "16", "-4"):
+    for divisor in ("3", "2", "16"):
         assert cli.main(["verify", str(frank), "--divisor", divisor]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -393,6 +404,53 @@ def test_oversized_order_exits_two_quickly(tmp_path, capsys, body):
     assert cli.main(["verify", str(path)]) == 2
     assert time.monotonic() - t0 < 5.0
     assert f"cap of {cli.MAX_ORDER}" in capsys.readouterr().err
+
+
+def _file_with_entries(fmt: str, entries: int) -> str:
+    if fmt == "sequence":
+        return (f"format: phase-sequence/1\norder: 64\nlength: {entries}\n"
+                f"exponents: {','.join(['0'] * entries)}\n")
+    if fmt == "array":
+        return (f"format: phase-array/1\norder: 64\nrows: 1\ncols: {entries}\n"
+                f"exponents: {','.join(['0'] * entries)}\n")
+    if fmt == "quaternion":
+        return (f"format: quaternion-sequence/1\nlength: {entries}\n"
+                f"symbols: {','.join(['1'] * entries)}\n")
+    if fmt == "projection":
+        return f"format: projection/1\norder: 2\nlength: {entries}\nvalues: {';'.join(['1,0'] * entries)}\n"
+    # one value that sums `entries` roots of unity
+    return f"format: projection/1\norder: 2\nlength: 1\nvalues: {entries - 2},-2\n"
+
+
+@pytest.mark.parametrize("fmt", ["sequence", "array", "quaternion", "projection", "roots"])
+def test_files_past_the_entry_cap_exit_two_quickly(tmp_path, capsys, fmt):
+    """A perfect input past the per-shift path's reach costs minutes, so a
+    file one entry past the cap is refused when read, before any
+    correlation; a file at the cap is read."""
+    path = tmp_path / "big.txt"
+    path.write_text(_file_with_entries(fmt, cli.MAX_ENTRIES + 1))
+    t0 = time.monotonic()
+    assert cli.main(["verify", str(path)]) == 2
+    assert time.monotonic() - t0 < 5.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{cli.MAX_ENTRIES + 1} entries, past the cap of {cli.MAX_ENTRIES}" in err
+    path.write_text(_file_with_entries(fmt, cli.MAX_ENTRIES))
+    cli.read_object(path)
+
+
+def test_construct_past_the_entry_cap_exits_two_quickly(tmp_path, capsys):
+    """`construct --n` validates its n^2 entries with the same per-shift
+    checks, so an n within the order cap but past the entry cap is refused
+    before any construction, and nothing is written."""
+    out = tmp_path / "big.txt"
+    t0 = time.monotonic()
+    assert cli.main(["construct", "--n", "1024", "--out", str(out)]) == 2
+    assert time.monotonic() - t0 < 5.0
+    assert not out.exists()
+    assert capsys.readouterr() == (
+        "", f"--n 1024 makes 1048576 entries, past the cap of {cli.MAX_ENTRIES}\n"
+    )
 
 
 def test_order_at_the_cap_is_read(tmp_path):

@@ -15,6 +15,7 @@ from aopseq.correlation import (
     _lane_bytes,
     _pack,
     _packed_pays,
+    _ring_equal,
     _shift_counts,
     autocorrelate,
     autocorrelate_2d,
@@ -378,6 +379,21 @@ def test_identity_checks_catch_one_changed_input(arr, monkeypatch):
     )
     assert not projection_sum_check_all(arr)
     assert not all(projection_sum_check(arr, tau) for tau in range(arr.rows))
+
+
+@pytest.mark.parametrize("n, p", [(12, 3), (12, 2), (15, 5), (7, 7)])
+def test_ring_equal_beyond_equal_counts(n, p):
+    """Sides whose counts differ by a full coset of the order-p subgroup are
+    equal in the ring; one extra root is not."""
+    rng = random.Random(n * p)
+    lhs = [rng.randrange(4) for _ in range(n)]
+    coset = list(lhs)
+    for t in range(p):
+        coset[(1 + t * n // p) % n] += 1
+    assert _ring_equal(lhs, tuple(lhs), n)
+    assert coset != lhs and _ring_equal(lhs, coset, n) and _ring_equal(coset, lhs, n)
+    coset[0] += 1
+    assert not _ring_equal(lhs, coset, n)
 
 
 @pytest.mark.parametrize("n, d", [(1024, 32), (256, 16)])
