@@ -114,9 +114,6 @@ class QuatUnit:
     def conjugate(self) -> "QuatUnit":
         return QuatUnit(CONJ[self.index])
 
-    def to_vector(self) -> tuple[int, int, int, int]:
-        return VEC[self.index]
-
 
 @dataclass(frozen=True)
 class QuaternionSequence:

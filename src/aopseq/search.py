@@ -15,23 +15,38 @@ depends on scheduling (wall time, chunk accounting, audit tallies, worker
 count) enters the canonical serialized report.
 
 Index-function sweeps exploit that generated entries depend only on the cell
-residues mod the period: each candidate is collapsed to its period x period
-tile, and column counts beyond the period are rejected outright because
-columns j and j + period coincide (a column cannot be orthogonal to its own
-duplicate at shift 0).  A tile mod m is linear in the coefficient vector, so
-the vector is split into a head (every coefficient but the last x-power row)
-and a tail (that row, or one of the collapse suffixes), and the index is
-head * tails + tail.  The tail tiles are tabulated once per sweep in each
-process; a candidate's tile is (head tile + tail tile) mod m, floored by n
-for the floored family.  Verdicts are memoized per column-phase class of the
-tile: every column is shifted mod the alphabet order so that its row-0 entry
-is 0.  A constant phase on a column multiplies its cross-correlations by a
-unit and leaves its autocorrelation unchanged, so both AOP conditions keep
-their truth values for every (R, C).  On top of that, verdict rows hold
-the class verdicts of a head tile with every tail, so a candidate's
-verdicts are one lookup; tallies are kept per verdict tuple.  A head tile
-is the tile of its last row's digits, tabulated once per sweep, plus the
-tile of its other digits, rebuilt only when those change.
+residues mod the period m (a floored entry is a function of p(i, j) mod m):
+each candidate is collapsed to its m x m tile, and two prunes decide cells
+without a verdict pass.  Column counts C > m are rejected because columns j
+and j + m coincide (a column cannot be orthogonal to its own duplicate at
+shift 0).  Row counts R >= 2m are rejected because condition 2 fails at shift
+m: each column's autocorrelation there has at least R - m terms equal to 1
+and m further unit terms, so the sum over C columns has real part at least
+C (R - 2m), and at R = 2m every term is 1.  Rows m < R < 2m are not cut: a
+column cut at such an R is not cyclically periodic, and its shift-m sum can
+vanish.
+
+A tile mod m is linear in the coefficient vector, so the vector is split
+into a head (every coefficient but the last x-power row) and a tail (that
+row, or one of the collapse suffixes), and the index is head * tails + tail.
+The tail tiles are tabulated once per sweep in each process; a candidate's
+tile is (head tile + tail tile) mod m, floored by n for the floored family.
+Verdicts are memoized per column-phase class of the tile: every column is
+shifted mod the alphabet order so that its row-0 entry is 0.  A constant
+phase on a column multiplies its cross-correlations by a unit and leaves its
+autocorrelation unchanged, so both AOP conditions keep their truth values
+for every (R, C).  On top of that, verdict rows hold the class verdicts of a
+head tile with every tail, so a candidate's verdicts are one lookup; tallies
+are kept per verdict tuple.  A head tile is the tile of its last row's
+digits, tabulated once per sweep, plus the tile of its other digits, rebuilt
+only when those change.
+
+Head tiles whose columns differ by constants share one row: a row is keyed
+by the head tile with each column less the largest multiple of the divisor
+(1 for poly, n for floored) in its row-0 entry.  Adding c_j to column j of a
+poly head tile adds c_j to column j of every tile it composes; adding n q_j
+to a floored one adds q_j mod K to the floored column.  Either way every
+composed tile keeps its column-phase class, hence its verdicts.
 
 Head tiles that differ by a tail tile share one row.  Let s (+) t be the
 tail whose coefficients are those of tails s and t added digit-wise mod m.
@@ -41,14 +56,14 @@ h's row read through the index map t -> s (+) t.  The tails s whose tile is
 itself a head tile, the only ones for which h + tails[s] is ever a head
 tile, are those with deg_x! q_s(j) = 0 mod m at every j, q_s being the
 tail's polynomial in y (falling-factorial normal form; Singmaster 1974).
-When a new head tile h appears it is registered under the identity map and
-h + tails[s] under s's map for each such s; rows still fill on demand, slot
-s (+) t from composing the current head tile with tails[t].  A sweep
-therefore composes one tile per (coset of head tiles, tail) rather than one
-per (head tile, tail).
+When a head tile h with a new row key appears, that key is registered
+under the identity map and the key of h + tails[s] under s's map for each
+such s; rows still fill on demand, slot s (+) t from composing the current
+head tile with tails[t].  A sweep therefore composes one tile per (coset of
+row keys, tail) rather than one per (head tile, tail).
 
-A class's verdicts take one pass per row count R over its first
-min(max C, period) columns: condition 1 at C is condition 1 at C - 1 plus
+A class's verdicts take one pass per row count R < 2m over its first
+min(max C, m) columns: condition 1 at C is condition 1 at C - 1 plus
 the pairs of column C - 1, so every C together cost one condition-1 check
 of the widest; condition 2 at C zero-tests a running sum of the column
 autocorrelations, one test per shift up to its first nonzero one.
@@ -64,21 +79,21 @@ raw-quaternion.  The parent keeps a block's records unless it already holds
 it merges the kept lists once by index and builds report entries from the
 merged records until it has `hit_limit` of them.
 
-One candidate in a hundred is re-checked the slow way.  First, the
-verdicts its head tile's shared row holds for it must be the verdicts of the
-class of its own composed tile, which filling that slot decided; this
-comparison adds no `spot_checks` units.  Then its tile is built
-directly from the coefficient vector and must equal the composed tile, and
-the array is regenerated directly from the index function (column by
+One candidate in a hundred is re-checked the slow way.  First, the verdicts
+its head tile's shared row holds for it must be the verdicts of the class of
+its own composed tile, which filling that slot from a tile of the same class
+decided; this comparison adds no `spot_checks` units.  Then its tile is
+built directly from the coefficient vector and must equal the composed tile,
+and the array is regenerated directly from the index function (column by
 column, on unreduced i and j) and must equal the periodic extension of that
 raw tile at every cell, which also covers every duplicate column.  The
 direct columns are then a function of the raw tile alone, so the first
 sample of each distinct raw tile per sweep and process re-decides every
-pruned (R, C), one verdict pass per R over the first max C direct columns,
-and has its own verdicts recomputed and compared with its class's, which
-keeps the quotient itself under a direct check.  Every sample still counts
-its spot-check units and has each recorded hit re-decided by the public
-check.
+pruned (R, C) with C > m or R >= 2m, one verdict pass per R over the first
+max C direct columns, and has its own verdicts recomputed and compared with
+its class's, which keeps the quotient itself under a direct check.  Every
+sample still counts its spot-check units and has each recorded hit
+re-decided by the public check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -463,10 +478,10 @@ class _SweepMemo:
     tail tiles; the tiles of every value of the last head row, added to the
     tile of the remaining head digits to build a head tile; the shared tails
     (one per distinct tile) with their index maps; verdicts per column-phase
-    class; per head tile, a verdict row and the index map through which it
+    class; per row key, a verdict row and the index map through which it
     reads that row (rows fill on demand and are shared by the head tiles
-    that differ by a shared tail); and the raw tiles a spot check has
-    already re-decided."""
+    that differ by column constants or a shared tail); and the raw tiles a
+    spot check has already re-decided."""
 
     def __init__(
         self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
@@ -506,6 +521,12 @@ def _tile_columns(flat, period: int) -> list[tuple[int, ...]]:
     return [tuple(flat[j::period]) for j in range(period)]
 
 
+def _periodic_rows(period: int) -> int:
+    """The least row count that periodicity alone decides: at every
+    R >= 2 * period condition 2 fails at shift `period` (module docstring)."""
+    return 2 * period
+
+
 def _tile_verdicts(
     tile_cols: list[tuple[int, ...]],
     period: int,
@@ -515,17 +536,24 @@ def _tile_verdicts(
 ) -> list[tuple[int, int]]:
     # column counts beyond the period are skipped: columns 0 and `period` are
     # the same residue column, their shift-0 inner product is R, so condition
-    # 1 cannot hold
+    # 1 cannot hold; row counts from _periodic_rows(period) on fail condition 2
     widths = min(c_range[1], period)
     c_values = range(c_range[0], widths + 1)
     out = []
     if not c_values:
         return out
-    for R in _dim_values(r_range):
+    for R in range(r_range[0], min(r_range[1] + 1, _periodic_rows(period))):
         reps = -(-R // period)
         holds = _aop_holds_widths([(tc * reps)[:R] for tc in tile_cols[:widths]], R, order)
         out.extend((R, C) for C in c_values if holds[C - 1])
     return out
+
+
+def _row_key(tile: tuple[int, ...], period: int, divisor: int) -> tuple[int, ...]:
+    """The verdict-row key of a row-major head tile mod `period`: each column
+    less the largest multiple of `divisor` in its row-0 entry."""
+    base = [b - b % divisor for b in tile[:period]]
+    return tuple([(v - b) % period for v, b in zip(tile, base * period)])
 
 
 def _phase_class(flat: list[int], period: int, order: int) -> tuple[int, ...]:
@@ -559,12 +587,13 @@ def _spot_check(
     whose row i % m repeated and cut to the array's width gives row i; so
     the direct columns are a function of the raw tile alone.  The first
     sample of each distinct raw tile in a sweep and process then re-decides
-    every pruned (R, C) with one verdict pass per R over the direct columns,
-    and, when the tile lies outside its class representative, has its own
-    verdicts recomputed and compared with its class's.  Every recorded hit
-    must pass the public check.  Returns the number of verification units
-    (tile confirmation plus each prune decision the sample's raw tile has
-    re-examined), the same for every sample; raises on any mismatch.
+    every pruned (R, C), C > m or R >= 2m, with one verdict pass per R over
+    the direct columns, and, when the tile lies outside its class
+    representative, has its own verdicts recomputed and compared with its
+    class's.  Every recorded hit must pass the public check.  Returns the
+    number of verification units (tile confirmation plus each column prune
+    the sample's raw tile has re-examined), the same for every sample;
+    raises on any mismatch.
     """
     m = spec.coeff_modulus
     order = spec.alphabet_order
@@ -602,16 +631,18 @@ def _spot_check(
     raw = tuple(flat)
     if raw not in memo.spot_tiles:
         memo.spot_tiles.add(raw)
-        if pruned:
-            columns = [direct.column(j) for j in range(c_hi)]
-            for R in r_values:
-                holds = _aop_holds_widths([col[:R] for col in columns], R, order)
-                for C in pruned:
-                    if holds[C - 1]:
-                        raise AssertionError(
-                            f"full check accepted pruned combination {(R, C)} "
-                            f"for vector {vector}"
-                        )
+        columns = [direct.column(j) for j in range(c_hi)]
+        for R in r_values:
+            decided = _dim_values(spec.c_range) if R >= _periodic_rows(m) else pruned
+            if not decided:
+                continue
+            holds = _aop_holds_widths([col[:R] for col in columns], R, order)
+            for C in decided:
+                if holds[C - 1]:
+                    raise AssertionError(
+                        f"full check accepted pruned combination {(R, C)} "
+                        f"for vector {vector}"
+                    )
         if raw != _phase_class(flat, m, order):
             own = tuple(_tile_verdicts(_tile_columns(flat, m), m, order,
                                        spec.r_range, spec.c_range))
@@ -666,14 +697,15 @@ def _index_function_block(
             upper_tile = [sum(c * r for c, r in zip(digits, row) if c)
                           for row in upper_mono]
         head_tile = tuple([(u + v) % m for u, v in zip(upper_tile, last_tiles[last])])
-        entry = memo.rows.get(head_tile)
+        key = _row_key(head_tile, m, divisor)
+        entry = memo.rows.get(key)
         if entry is None:
             # head tile h + tails[s] reads h's row at s (+) t for tail t:
             # both compose to h + tails[s (+) t]
-            entry = memo.rows[head_tile] = ([None] * n_tails, memo.identity)
+            entry = memo.rows[key] = ([None] * n_tails, memo.identity)
             for s, shift in zip(memo.shared, memo.shifts):
                 member = tuple([(h + v) % m for h, v in zip(head_tile, tails[s])])
-                memo.rows.setdefault(member, (entry[0], shift))
+                memo.rows.setdefault(_row_key(member, m, divisor), (entry[0], shift))
         row, index_map = entry
         slots = index_map[first - base : hi - base : mod]
         picked = [row[slot] for slot in slots]
@@ -700,7 +732,7 @@ def _index_function_block(
                 t = idx - base
                 composed = [(h + v) % m // divisor for h, v in zip(head_tile, tails[t])]
                 verdicts = row[index_map[t]]
-                # the slot was filled from this very tile, so its class is known
+                # the slot was filled from a tile of this class, so it is known
                 own = memo.verdicts.get(_phase_class(composed, m, order))
                 if own != verdicts:
                     raise AssertionError(

@@ -64,12 +64,12 @@ def criterion(num, info):
 
 # ---------------------------------------------------------------- fixtures
 
-AUDIT_TALLY = {"checked": 0, "disagreements": 0}
+# criterion number -> (checked, disagreements) of its audited zero tests
+AUDIT_TALLY = {}
 
 
-def _absorb(checked, disagreements):
-    AUDIT_TALLY["checked"] += checked
-    AUDIT_TALLY["disagreements"] += disagreements
+def _absorb(num, checked, disagreements):
+    AUDIT_TALLY[num] = (checked, disagreements)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_criterion_1_correlation_identities():
                 assert decomposition_check_all(arr), (n, R, C)
                 assert projection_sum_check_all(arr), (n, R, C)
                 count += 1
-        _absorb(*audit.stop())
+        _absorb(1, *audit.stop())
         elapsed = time.monotonic() - t0
         assert count == 5000
         assert elapsed < 30.0, f"took {elapsed:.1f}s, cap 30s"
@@ -171,7 +171,7 @@ def test_criterion_3_square_family():
             assert is_perfect_projection(rows), n
             peak = projection_autocorrelate(cols).peak()
             assert peak.equals(CyclotomicInt.integer(n, n * n)), n
-        _absorb(*audit.stop())
+        _absorb(3, *audit.stop())
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s, cap 10s"
         info["detail"] = f"n = 2..8 validated with exact peaks in {elapsed:.1f}s"
@@ -364,31 +364,34 @@ def test_criterion_9_concordance_and_refutation_grade(
 ):
     """Every exact zero verdict issued by the criterion 1-5 workloads agreed
     with its float evaluation, and bound violations map to the distinct
-    refutation-grade exit code."""
+    refutation-grade exit code.
+
+    The tally is split by source.  A sweep zero-tests count vectors of
+    correlation terms, whose total is positive, so none of them is the
+    all-zero vector and each comparison could disagree.  Criterion 1's
+    identity checks zero-test the difference of two equal sides, the
+    all-zero vector, at every shift."""
     info = {}
     with criterion(9, info):
-        checked = (
-            AUDIT_TALLY["checked"]
-            + sweep4_n2.audit_checked
-            + sweep4_n3.audit_checked
-            + sweep5_full.audit_checked
-            + sweep5_restricted.audit_checked
-        )
-        disagreements = (
-            AUDIT_TALLY["disagreements"]
-            + sweep4_n2.audit_disagreements
-            + sweep4_n3.audit_disagreements
-            + sweep5_full.audit_disagreements
-            + sweep5_restricted.audit_disagreements
+        sweeps = (sweep4_n2, sweep4_n3, sweep5_full, sweep5_restricted)
+        sweep_checked = sum(report.audit_checked for report in sweeps)
+        identity_checked = AUDIT_TALLY.get(1, (0, 0))[0]
+        checked = sweep_checked + sum(c for c, _ in AUDIT_TALLY.values())
+        disagreements = sum(report.audit_disagreements for report in sweeps) + sum(
+            d for _, d in AUDIT_TALLY.values()
         )
         assert checked > 100_000, f"audit saw only {checked} comparisons"
+        assert sweep_checked > 0, "the sweeps audited no comparison"
         assert disagreements == 0, f"{disagreements} exact/float disagreements"
-        for report in (sweep4_n2, sweep4_n3, sweep5_full, sweep5_restricted):
+        for report in sweeps:
             assert not report.bound_violated
         assert cli.EXIT_INVARIANT_VIOLATION == 3
         info["detail"] = (
-            f"{checked} exact/float comparisons, 0 disagreements; no bound "
-            f"violations observed; violation exit code is 3"
+            f"{checked} exact/float comparisons ({sweep_checked} from the "
+            f"sweeps, {identity_checked} from criterion 1's identity checks, "
+            f"{checked - sweep_checked - identity_checked} from criterion 3), "
+            f"0 disagreements; no bound violations observed; violation exit "
+            f"code is 3"
         )
 
 

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aopseq.aop import check_aop
+from aopseq.aop import _aop_holds_widths, check_aop
+from aopseq.correlation import diff_counts
+from aopseq.cyclotomic import counts_is_zero
 from aopseq.indexfn import PolyIndex, generate_poly_array
 from aopseq.quaternion import UNIT_SYMBOLS, QuaternionSequence, quat_is_perfect
 from aopseq import search
@@ -740,6 +742,23 @@ def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
     assert counts["spot_passes"] == 6 * len(raw_tiles)
 
 
+def test_cut_row_accepted_by_the_full_check_raises(monkeypatch):
+    """With no width pruned (C <= m = 2), the first sample of each raw tile
+    still re-decides every R >= 2m on its direct columns.  Class verdict
+    passes never run there, so a pass that accepts every width from R = 4
+    on leaves the verdicts alone and only that re-decision sees it."""
+    real = search._aop_holds_widths
+
+    def accepting(cols, rows, order):
+        return [True] * len(cols) if rows >= 4 else real(cols, rows, order)
+
+    monkeypatch.setattr(search, "_aop_holds_widths", accepting)
+    spec = SearchSpec(family="poly", n=2, deg_x=2, deg_y=2, r_range=(1, 5),
+                      c_range=(1, 2))
+    with pytest.raises(AssertionError, match=r"pruned combination \(4, 1\)"):
+        run_search(spec)
+
+
 def head_tile_group(spec):
     """Every head tile mod m, by closure: the subgroup of tiles generated by
     the monomial columns of the head coefficients."""
@@ -827,9 +846,11 @@ def test_wrong_shared_row_index_map_raises(monkeypatch):
 
 
 def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
-    """Serial verdict-class calls on the benchmark sweeps: sweep-floored
-    (16 of 64 tails shared) fills 128 shared rows of 64 slots, sweep-poly
-    (only the zero tail shared) one slot per candidate."""
+    """Serial verdict-class calls on the benchmark sweeps.  Head tiles that
+    differ by column constants share a row: sweep-floored (16 of 64 tails
+    shared) fills 16 rows of 64 slots, sweep-poly (only the zero tail
+    shared) 27 rows of 27 slots, one per x^1 and x^2 head rows, because its
+    x^0 row only adds a constant to each column."""
     calls = []
     real = search._class_verdicts
 
@@ -842,13 +863,134 @@ def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
                          r_range=(1, 8), c_range=(1, 8))
     assert len(search._shared_tails(floored, None)) == 16
     assert run_search(floored).total_candidates == 262144
-    assert len(calls) == 8192
+    assert len(calls) == 1024
     calls.clear()
     poly = SearchSpec(family="poly", n=3, deg_x=2, deg_y=2,
                       r_range=(1, 9), c_range=(1, 9))
     assert search._shared_tails(poly, None) == [0]
     assert run_search(poly).total_candidates == 19683
-    assert len(calls) == 19683
+    assert len(calls) == 729
+
+
+def test_row_key_ignoring_the_floored_divisor_raises(monkeypatch):
+    """A floored row key that removes each column's whole row-0 entry, not
+    just its multiple of n, shares a row between head tiles whose columns
+    differ by a constant that is no multiple of n.  Their composed tiles
+    floor differently, so they can lie in different classes; the sampled
+    comparison with each index's own class refuses the shared verdicts."""
+    real = search._row_key
+    monkeypatch.setattr(search, "_row_key",
+                        lambda tile, period, divisor: real(tile, period, 1))
+    spec = SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=2,
+                      r_range=(1, 8), c_range=(1, 8))
+    with pytest.raises(AssertionError, match="through its head tile's shared row"):
+        run_search(spec)
+
+
+# (family, period m, alphabet order): poly at m = 2..6 and floored at
+# (n, K) = (2, 2), (2, 3), (3, 2), where m = nK and the order is K
+PERIODIC_ROW_CASES = [("poly", m, m) for m in range(2, 7)] + [
+    ("floored", n * k, k) for n, k in ((2, 2), (2, 3), (3, 2))
+]
+PERIODIC_ROW_IDS = [f"{f}-m{m}-o{o}" for f, m, o in PERIODIC_ROW_CASES]
+
+
+def cut_row_counts(period):
+    """The row counts the engine decides by periodicity, up to 4m."""
+    return range(search._periodic_rows(period), 4 * period + 1)
+
+
+def shift_period_counts(column, period, order, rows):
+    """Condition 2's term counts at shift m of one m-periodic column cut at
+    `rows` rows."""
+    cut = (column * -(-rows // period))[:rows]
+    return diff_counts(((cut, cut, period),), order)
+
+
+@pytest.mark.parametrize("family,period,order", PERIODIC_ROW_CASES,
+                         ids=PERIODIC_ROW_IDS)
+def test_rows_from_twice_the_period_fail_condition_2(family, period, order):
+    """The premise of the row cut, over every column of length m with entry
+    0 at row 0 (a column-phase class column) and every cut row count R:
+    shift m puts at least R - m terms on exponent 0, and for every tuple of
+    up to 3 such columns at m <= 3 the summed count vector is nonzero."""
+    columns = [(0,) + rest for rest in itertools.product(range(order), repeat=period - 1)]
+    rows_cut = cut_row_counts(period)
+    assert rows_cut, "no row count is decided by periodicity up to 4m"
+    for rows in rows_cut:
+        vectors = [shift_period_counts(c, period, order, rows) for c in columns]
+        assert all(v[0] >= rows - period for v in vectors), rows
+        if period > 3:
+            continue
+        for size in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(vectors, size):
+                summed = [sum(terms) for terms in zip(*combo)]
+                assert not counts_is_zero(summed, order), (rows, combo)
+
+
+@st.composite
+def periodic_column_tuples(draw):
+    family, period, order = draw(st.sampled_from(
+        [case for case in PERIODIC_ROW_CASES if case[1] >= 4]))
+    column = st.lists(st.integers(0, order - 1), min_size=period - 1,
+                      max_size=period - 1).map(lambda rest: (0, *rest))
+    columns = draw(st.lists(column, min_size=1, max_size=period))
+    rows = draw(st.sampled_from(cut_row_counts(period)))
+    return period, order, columns, rows
+
+
+@given(periodic_column_tuples())
+@settings(max_examples=300, deadline=None)
+def test_cut_rows_fail_condition_2_for_drawn_column_tuples(case):
+    """The premise's sum at m = 4..6, on drawn tuples of up to m columns."""
+    period, order, columns, rows = case
+    vectors = [shift_period_counts(c, period, order, rows) for c in columns]
+    summed = [sum(terms) for terms in zip(*vectors)]
+    assert not counts_is_zero(summed, order)
+
+
+def uncut_tile_verdicts(cols, period, order, r_range, c_range):
+    """Reference: `_tile_verdicts` with a verdict pass at every row count."""
+    out = []
+    for R in range(r_range[0], r_range[1] + 1):
+        reps = -(-R // period)
+        holds = _aop_holds_widths([(c * reps)[:R] for c in cols[:c_range[1]]], R, order)
+        out.extend((R, C) for C in range(c_range[0], c_range[1] + 1) if holds[C - 1])
+    return out
+
+
+@st.composite
+def sampled_classes(draw):
+    family, period, order = draw(st.sampled_from(PERIODIC_ROW_CASES))
+    spec = (SearchSpec(family="poly", n=period) if family == "poly"
+            else SearchSpec(family="floored", n=period // order, k=order))
+    vector = draw(st.lists(st.integers(0, period - 1), min_size=spec.vector_width,
+                           max_size=spec.vector_width))
+    if draw(st.booleans()):
+        # no x^2 row: columns linear in i, where the hits are
+        vector[2 * (spec.deg_y + 1):] = [0] * (spec.deg_y + 1)
+    divisor = spec.n if family == "floored" else 1
+    flat = [sum(c * r for c, r in zip(vector, row)) % period // divisor
+            for row in search._monomial_rows(spec)]
+    return period, order, search._phase_class(flat, period, order)
+
+
+@given(sampled_classes())
+@settings(max_examples=150, deadline=None)
+def test_cut_tile_verdicts_match_an_uncut_pass(case):
+    """For classes of real poly and floored tiles, R <= 4m and C <= m, the
+    verdicts with rows R >= 2m cut equal a verdict pass at every R.
+
+    This differential alone cannot tell a sound cut from an unsound one:
+    cutting every R > m, which is not sound, still matched every report
+    hash in the probe that preceded this rule, because no sampled tile has
+    a hit there.  The premise tests above are the gate for the cut."""
+    period, order, key = case
+    cols = search._tile_columns(key, period)
+    ranges = ((1, 4 * period), (1, period))
+    assert _tile_verdicts(cols, period, order, *ranges) == uncut_tile_verdicts(
+        cols, period, order, *ranges
+    )
 
 
 # sha256 of each canonical report as written before head tiles shared rows
