@@ -117,23 +117,6 @@ class CorrelationProfile:
         """True iff every off-peak value is exactly zero."""
         return all(v.is_zero() for v in self.values[1:])
 
-    def has_hermitian_symmetry(self) -> bool:
-        """Exact check that the value at shift t equals the conjugate of the
-        value at shift -t (meaningful for autocorrelation profiles)."""
-        if len(self.shape) == 1:
-            (L,) = self.shape
-            return all(
-                self.values[t].equals(self.values[(L - t) % L].conjugate())
-                for t in range(L)
-            )
-        R, C = self.shape
-        for v in range(R):
-            for h in range(C):
-                mirror = self.values[((R - v) % R) * C + ((C - h) % C)]
-                if not self.values[v * C + h].equals(mirror.conjugate()):
-                    return False
-        return True
-
     def to_complex(self) -> list[complex]:
         """Advisory float view of the exact values."""
         return [counts_to_complex(v.coeffs, self.order) for v in self.values]

@@ -46,7 +46,6 @@ __all__ = [
     "CyclotomicInt",
     "CyclotomicPolynomial",
     "cyclotomic_polynomial",
-    "cyc_mul_root",
     "counts_is_zero",
     "counts_to_complex",
     "root_table",
@@ -348,11 +347,3 @@ class CyclotomicInt:
         """Double-precision value; advisory only, never decides verdicts."""
         return counts_to_complex(self.coeffs, self.order)
 
-
-def cyc_mul_root(a: CyclotomicInt, e: int) -> CyclotomicInt:
-    """Multiply by w^e: a cyclic rotation of the coefficient vector."""
-    n = a.order
-    e %= n
-    if e == 0:
-        return a
-    return CyclotomicInt(n, a.coeffs[n - e :] + a.coeffs[: n - e])

@@ -109,11 +109,21 @@ of the funnel expands to its eight members u*s, and every member that
 passes the index filter goes through the direct quaternion check in both
 conventions.  Hits are merged by global index.  The funnel itself packs
 each unit's 4-vector into one balanced base-(2L+1) integer, so a shift's
-correlation is one table gather and one row sum, zero exactly when all four
-component sums are zero.  One raw index in a hundred, regardless of
-orbit, also runs through the funnel without the quotient; those survivors
-must be exactly the expanded members at the sampled indices, or the sweep
-raises.
+correlation is one gather from the pair table W (the packed product of each
+unit pair) and one row sum, zero exactly when all four component sums are
+zero.  Shift 1 pairs only neighbouring units, so its sum splits where the
+index splits into its high L - k and low k = L // 2 base-8 digits:
+
+    hsum[high] + lsum[low] + W[last high, first low] + W[last low, first high]
+
+where hsum and lsum hold the neighbour-pair sums inside each half.  W and
+both half tables (8^(L-k) and 8^k entries) are built once per sweep and
+process; representatives pass shift 1 by four gathers on the index array,
+and only its survivors are expanded into digits for shifts 2..L-1.  One raw
+index in a hundred, regardless of orbit, also runs through the row funnel
+from shift 1 without the quotient; it is the reference for the split and
+the quotient together: those survivors must be exactly the expanded members
+at the sampled indices, or the sweep raises.
 """
 
 from __future__ import annotations
@@ -481,7 +491,9 @@ class _SweepMemo:
     class; per row key, a verdict row and the index map through which it
     reads that row (rows fill on demand and are shared by the head tiles
     that differ by column constants or a shared tail); and the raw tiles a
-    spot check has already re-decided."""
+    spot check has already re-decided.  For a raw-quaternion sweep: the
+    packed pair table of each convention and, past length 1, its two half
+    tables for shift 1."""
 
     def __init__(
         self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
@@ -509,6 +521,13 @@ class _SweepMemo:
             self.shared = list(by_tile.values())
             self.shifts = _tail_shifts(spec, suffixes, self.shared)
             self.identity = list(range(len(self.tails)))
+        self.quat_tables: dict = {}
+        self.quat_halves: dict = {}
+        if spec.family == "raw-quaternion":
+            self.quat_tables = _packed_weight_tables(spec.length)
+            if spec.length > 1:
+                self.quat_halves = {c: _half_sums(table, spec.length)
+                                    for c, table in self.quat_tables.items()}
         self.verdicts: dict[tuple[int, ...], Verdicts] = {}
         self.rows: dict[
             tuple[int, ...], tuple[list[Optional[Verdicts]], list[int]]
@@ -827,9 +846,44 @@ def _packed_weight_tables(length: int) -> dict:
     }
 
 
-def _quat_funnel(seqs, tables: dict) -> dict:
+def _half_sums(table, length: int) -> tuple:
+    """(hsum, lsum): entry x of each is the sum of `table` over the neighbour
+    pairs (a, b) among the base-8 digits of x, which has length - length // 2
+    digits in hsum and length // 2 in lsum.  Each sum has fewer than `length`
+    terms, so `table`'s dtype holds it."""
+    import numpy as np
+
+    pairs = table.reshape(8, 8)
+    by_width = {1: np.zeros(8, dtype=table.dtype)}
+    for width in range(2, length - length // 2 + 1):
+        # appending digit d to x adds the pair (last digit of x, d)
+        sums = by_width[width - 1]
+        by_width[width] = (sums[:, None] + pairs[np.arange(len(sums)) % 8]).ravel()
+    return by_width[length - length // 2], by_width[length // 2]
+
+
+def _shift_one_sums(indices, length: int, table, halves: tuple):
+    """The packed shift-1 correlation sum of each raw index (length >= 2).
+
+    Shift 1 pairs only neighbouring units, so with k = length // 2 low digits
+    the sum is hsum[high] + lsum[low] plus the two pairs that cross the split:
+    (last high digit, first low digit) and the wrap (last low digit, first
+    high digit)."""
+    low_width = length // 2
+    hsum, lsum = halves
+    high = indices >> 3 * low_width
+    low = indices & (8**low_width - 1)
+    return (
+        hsum[high] + lsum[low]
+        + table[(high & 7) << 3 | low >> 3 * (low_width - 1)]
+        + table[(low & 7) << 3 | high >> 3 * (length - low_width - 1)]
+    )
+
+
+def _quat_funnel(seqs, tables: dict, first: int = 1) -> dict:
     """Row numbers of `seqs` (unit indices, one sequence per row) whose
-    off-peak autocorrelation vanishes, per convention."""
+    autocorrelation vanishes at every shift from `first` to length - 1, per
+    convention."""
     import numpy as np
 
     length = seqs.shape[1]
@@ -839,7 +893,7 @@ def _quat_funnel(seqs, tables: dict) -> dict:
     for convention, table in tables.items():
         alive = np.arange(len(seqs))
         high, doubled = all_high, all_doubled
-        for tau in range(1, length):
+        for tau in range(first, length):
             if alive.size == 0:
                 break
             pair = high | doubled[:, tau : tau + length]
@@ -851,7 +905,26 @@ def _quat_funnel(seqs, tables: dict) -> dict:
     return out
 
 
-def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
+def _rep_survivors(reps, length: int, memo: _SweepMemo) -> dict:
+    """Positions in `reps` (raw indices) whose off-peak autocorrelation
+    vanishes, per convention: shift 1 from the half tables, the later shifts
+    through `_quat_funnel` on the digits of shift 1's survivors alone."""
+    import numpy as np
+
+    out = {}
+    for convention, table in memo.quat_tables.items():
+        rows = np.arange(len(reps))
+        if length > 1:
+            sums = _shift_one_sums(reps, length, table, memo.quat_halves[convention])
+            rows = rows[sums == 0]
+        later = _quat_funnel(_unit_digits(reps[rows], length), {convention: table}, 2)
+        out[convention] = rows[later[convention]]
+    return out
+
+
+def _raw_quaternion_block(
+    spec: SearchSpec, start: int, stop: int, memo: _SweepMemo
+) -> dict:
     """Orbit representatives start..stop-1, representative r being the
     sequence with base-8 digits r (its first unit is 1 since r < 8^(L-1)),
     and the sampled raw indices 8 start..8 stop-1."""
@@ -859,15 +932,15 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
 
     L = spec.length
     mod, residue = spec.filter_mod, spec.filter_residue
-    tables = _packed_weight_tables(L)
-    reps = _unit_digits(np.arange(start, stop, dtype=np.int64), L)
     rep_conventions: dict[int, list[str]] = {}
-    for convention, rows in _quat_funnel(reps, tables).items():
+    for convention, rows in _rep_survivors(
+        np.arange(start, stop, dtype=np.int64), L, memo
+    ).items():
         for row in rows.tolist():
             rep_conventions.setdefault(row, []).append(convention)
     members = []
     for row, conventions in rep_conventions.items():
-        rep = reps[row].tolist()
+        rep = _digits(start + row, 8, L)
         for u in range(8):
             units = tuple(MUL[u][x] for x in rep)
             g = int("".join(map(str, units)), 8)
@@ -895,9 +968,10 @@ def _raw_quaternion_block(spec: SearchSpec, start: int, stop: int) -> dict:
     sample = np.arange(-(-lo // SPOT_SAMPLE_STRIDE) * SPOT_SAMPLE_STRIDE, hi,
                        SPOT_SAMPLE_STRIDE, dtype=np.int64)
     sample = sample[sample % mod == residue]
+    # the reference: every shift of the unquotiented sample on the row funnel
     sample_direct = [
         (int(sample[row]), c)
-        for c, rows in _quat_funnel(_unit_digits(sample, L), tables).items()
+        for c, rows in _quat_funnel(_unit_digits(sample, L), memo.quat_tables).items()
         for row in rows.tolist()
     ]
     return {
@@ -962,7 +1036,7 @@ def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> di
         elif spec.family == "raw-phase":
             result = _raw_phase_block(spec, block[0], block[1])
         else:
-            result = _raw_quaternion_block(spec, block[0], block[1])
+            result = _raw_quaternion_block(spec, block[0], block[1], memo)
     finally:
         if spec.audit and not was_enabled:
             audit.enabled = False

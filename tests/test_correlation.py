@@ -79,9 +79,8 @@ seqs = st.tuples(st.integers(2, 8), st.integers(1, 10)).flatmap(
 def test_autocorrelation_hermitian_symmetry(seq):
     """theta(L - tau) is the conjugate of theta(tau), exactly."""
     profile = autocorrelate(seq)
-    assert profile.has_hermitian_symmetry()
     L = len(seq)
-    for tau in range(1, L):
+    for tau in range(L):
         assert profile.value(L - tau).equals(profile.value(tau).conjugate())
 
 

@@ -14,7 +14,6 @@ from aopseq.cyclotomic import (
     audit,
     counts_is_zero,
     cyclotomic_polynomial,
-    cyc_mul_root,
     reduction_rows,
     root_table,
 )
@@ -171,9 +170,13 @@ def test_ring_laws(nv, data):
 @given(coeff_vecs, st.integers(0, 30), st.integers(0, 30))
 @settings(max_examples=150, deadline=None)
 def test_root_rotation_group_law(nv, e1, e2):
+    """Multiplying by w^e rotates the coefficients by e, and w^e1 w^e2 is
+    w^(e1 + e2)."""
     n, av = nv
     a = CyclotomicInt(n, tuple(av))
-    assert cyc_mul_root(cyc_mul_root(a, e1), e2).equals(cyc_mul_root(a, e1 + e2))
+    rotated = a * CyclotomicInt.root(n, e1)
+    assert rotated.coeffs == tuple(av[(t - e1) % n] for t in range(n))
+    assert (rotated * CyclotomicInt.root(n, e2)).equals(a * CyclotomicInt.root(n, e1 + e2))
 
 
 @given(coeff_vecs, st.data())

@@ -388,21 +388,126 @@ def test_raw_quaternion_reports_identical_across_worker_counts():
 def test_raw_quaternion_sample_mismatch_raises(monkeypatch):
     """The sampled unquotiented funnel must equal the expanded orbits: a
     single-block sweep whose sample funnel wrongly passes raw index 0,
-    (1, 1, 1, 1), is refused."""
+    (1, 1, 1, 1), is refused.  The sample is the one funnel call that starts
+    at shift 1; representatives reach the funnel only from shift 2."""
     real = search._quat_funnel
-    calls = []
+    firsts = []
 
-    def sample_passes_index_zero(seqs, tables):
-        out = real(seqs, tables)
-        calls.append(len(seqs))
-        if len(calls) == 2:  # the block funnels its representatives, then its sample
+    def sample_passes_index_zero(seqs, tables, first=1):
+        out = real(seqs, tables, first)
+        firsts.append((first, len(seqs)))
+        if first == 1:
             out["right"] = np.union1d(out["right"], [0])
         return out
 
     monkeypatch.setattr(search, "_quat_funnel", sample_passes_index_zero)
     with pytest.raises(AssertionError, match="unquotiented funnel"):
         run_search(SearchSpec(family="raw-quaternion", length=4))
-    assert calls == [8**3, len(range(0, 8**4, search.SPOT_SAMPLE_STRIDE))]
+    sample_size = len(range(0, 8**4, search.SPOT_SAMPLE_STRIDE))
+    assert [f for f in firsts if f[0] == 1] == [(1, sample_size)]
+    assert {first for first, _ in firsts} == {1, 2}
+
+
+def row_shift_one_sums(indices, length, table):
+    """The reference: the shift-1 sum as the row funnel forms it, one gather
+    per unit pair on the expanded digits and a row sum."""
+    seqs = search._unit_digits(indices, length)
+    doubled = np.concatenate([seqs, seqs], axis=1)
+    return table[seqs << 3 | doubled[:, 1 : 1 + length]].sum(axis=1, dtype=table.dtype)
+
+
+def split_mismatches(length):
+    """The representatives at `length` whose split shift-1 sum differs from
+    the row funnel's in either convention."""
+    memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), None)
+    reps = np.arange(8 ** (length - 1), dtype=np.int64)
+    bad = set()
+    for convention, table in memo.quat_tables.items():
+        split = search._shift_one_sums(reps, length, table, memo.quat_halves[convention])
+        bad.update(np.flatnonzero(split != row_shift_one_sums(reps, length, table)).tolist())
+    return bad
+
+
+@pytest.mark.parametrize("length", range(2, 8))
+def test_split_shift_one_matches_row_funnel(length):
+    """Every representative at L = 2..7, both conventions: the split sum
+    equals the row funnel's, and the survivors of every shift, taken over
+    block bounds that are not multiples of 8^(L // 2), equal the row
+    funnel's from shift 1."""
+    assert split_mismatches(length) == set()
+    memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), None)
+    total, low = 8 ** (length - 1), 8 ** (length // 2)
+    for lo, hi in ((0, total), (5, min(low + 3, total)), (low - 3, total - 1)):
+        reps = np.arange(lo, hi, dtype=np.int64)
+        split = search._rep_survivors(reps, length, memo)
+        rows = search._quat_funnel(search._unit_digits(reps, length), memo.quat_tables)
+        for convention in ("right", "left"):
+            assert split[convention].tolist() == rows[convention].tolist()
+
+
+def test_split_reports_match_row_funnel_reports(monkeypatch):
+    """Whole sweeps, filter_mod=3 included and with blocks cut at bounds that
+    are not multiples of 8^(L // 2), report the same as sweeps whose shift 1
+    takes the row funnel's sum."""
+    specs = [SearchSpec(family="raw-quaternion", length=L, filter_mod=3,
+                        filter_residue=r) for L, r in ((5, 2), (6, 0), (6, 1))]
+    split = [run_search(spec).canonical_json() for spec in specs]
+    monkeypatch.setattr(search, "_shift_one_sums",
+                        lambda indices, length, table, halves:
+                        row_shift_one_sums(indices, length, table))
+    monkeypatch.setattr(search, "_blocks", lambda total: [
+        (lo, min(lo + 1001, total)) for lo in range(0, total, 1001)])
+    assert [run_search(spec).canonical_json() for spec in specs] == split
+    assert json.loads(split[1])["hits_total"] > 0
+
+
+def test_split_without_wrap_term_is_caught(monkeypatch):
+    """Negative control: a split that drops the wrap pair (last low digit,
+    first high digit) fails the differential, and a sweep refuses it."""
+    def without_wrap(indices, length, table, halves):
+        low_width = length // 2
+        hsum, lsum = halves
+        high = indices >> 3 * low_width
+        low = indices & (8**low_width - 1)
+        return hsum[high] + lsum[low] + table[(high & 7) << 3 | low >> 3 * (low_width - 1)]
+
+    monkeypatch.setattr(search, "_shift_one_sums", without_wrap)
+    assert split_mismatches(5)
+    with pytest.raises(AssertionError, match="unquotiented funnel"):
+        run_search(SearchSpec(family="raw-quaternion", length=6))
+
+
+def test_quaternion_tables_built_once_per_sweep(monkeypatch):
+    """The pair tables are built once per sweep and process, the half tables
+    once per convention, and no half table at L = 1."""
+    calls = []
+    for name in ("_packed_weight_tables", "_half_sums"):
+        real = getattr(search, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(search, name, counting)
+    report = run_search(SearchSpec(family="raw-quaternion", length=6))
+    assert len(report.worker_chunks) > 1
+    assert calls == ["_packed_weight_tables", "_half_sums", "_half_sums"]
+    calls.clear()
+    run_search(SearchSpec(family="raw-quaternion", length=1))
+    assert calls == ["_packed_weight_tables"]
+
+
+# sha256 of the canonical raw-quaternion L = 9 report, as written before
+# shift 1 was split into half tables
+QUATERNION_L9_SHA256 = "734c95269a3d0c8ee1d62b9b6dd5c8fb1a34ff633d2abe26623f660ebd88beef"
+
+
+def test_raw_quaternion_length_nine_report_unchanged():
+    report = run_search(SearchSpec(family="raw-quaternion", length=9, hit_limit=8192,
+                                   budget=2 * 10**8, workers=2))
+    assert report.total_candidates == 8**9
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == QUATERNION_L9_SHA256
 
 
 def test_collapse_suffixes_computed_once_per_sweep(monkeypatch):
