@@ -12,7 +12,8 @@ Multiplication does not commute, so a sequence has two autocorrelations:
     right:  theta(tau) = sum_i s[i] * conj(s[i + tau])
     left:   theta(tau) = sum_i conj(s[i]) * s[i + tau]
 
-Each value is a sum of units, kept as an exact integer 4-vector.  A sequence
+Each value is a sum of units, the products read from one table per
+convention (`PAIR_PRODUCT`), kept as an exact integer 4-vector.  A sequence
 is perfect under a convention when every off-peak value is the zero vector;
 the peak is always (L, 0, 0, 0) because q * conj(q) = 1.
 """
@@ -20,6 +21,7 @@ the peak is always (L, 0, 0, 0) because q * conj(q) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "CONJ",
     "NEG",
     "VEC",
+    "PAIR_PRODUCT",
     "QuatUnit",
     "QuaternionSequence",
     "vector_mul",
@@ -64,6 +67,13 @@ MUL = _build_mul()
 CONJ = tuple(u if u >> 1 == 0 else u ^ 1 for u in range(8))
 
 NEG = tuple(u ^ 1 for u in range(8))
+
+# Per convention, the unit that the pair (s[i], s[i + tau]) contributes to
+# theta(tau): row a, column b holds a * conj(b) (right) or conj(a) * b (left).
+PAIR_PRODUCT = {
+    "right": tuple(tuple(MUL[a][CONJ[b]] for b in range(8)) for a in range(8)),
+    "left": tuple(tuple(MUL[CONJ[a]][b] for b in range(8)) for a in range(8)),
+}
 
 # 4-vector (w, x, y, z) form of each unit, the independent representation.
 VEC = tuple(
@@ -141,41 +151,52 @@ class QuaternionSequence:
         return tuple(UNIT_SYMBOLS[u] for u in self.indices)
 
 
+def _product_rows(seq: QuaternionSequence, convention: str) -> list:
+    """The `PAIR_PRODUCT` row of each unit of the sequence."""
+    if convention not in PAIR_PRODUCT:
+        raise ValueError(f"convention must be 'right' or 'left', got {convention!r}")
+    return [PAIR_PRODUCT[convention][a] for a in seq.indices]
+
+
+def _product_counts(rows: list, s: tuple[int, ...], tau: int) -> list[int]:
+    """How often each unit occurs among the L products at shift tau, where
+    rows[i] is the product row of s[i]."""
+    count = [0] * 8
+    for p in map(getitem, rows, s[tau:] + s[:tau]):
+        count[p] += 1
+    return count
+
+
 def quat_autocorrelate(
     seq: QuaternionSequence, convention: str = "right"
 ) -> tuple[tuple[int, int, int, int], ...]:
     """All L periodic autocorrelation values as integer 4-vectors.
 
     convention "right" pairs s[i] with conj(s[i+tau]) on the right,
-    "left" puts the conjugate on the first factor instead.
+    "left" puts the conjugate on the first factor instead.  Component c of
+    a value is the number of products equal to unit 2c less the number
+    equal to unit 2c + 1, its negative.
     """
-    if convention not in ("right", "left"):
-        raise ValueError(f"convention must be 'right' or 'left', got {convention!r}")
+    rows = _product_rows(seq, convention)
     s = seq.indices
-    length = len(s)
     values = []
-    for tau in range(length):
-        w = x = y = z = 0
-        for i in range(length):
-            a, b = s[i], s[(i + tau) % length]
-            if convention == "right":
-                prod = MUL[a][CONJ[b]]
-            else:
-                prod = MUL[CONJ[a]][b]
-            vw, vx, vy, vz = VEC[prod]
-            w += vw
-            x += vx
-            y += vy
-            z += vz
-        values.append((w, x, y, z))
+    for tau in range(len(s)):
+        count = _product_counts(rows, s, tau)
+        values.append(tuple(count[2 * c] - count[2 * c + 1] for c in range(4)))
     return tuple(values)
 
 
 def quat_is_perfect(seq: QuaternionSequence, convention: str = "right") -> bool:
-    """True when every off-peak autocorrelation value is the zero 4-vector."""
-    values = quat_autocorrelate(seq, convention)
-    zero = (0, 0, 0, 0)
-    return all(values[tau] == zero for tau in range(1, seq.length))
+    """True when every off-peak autocorrelation value is the zero 4-vector,
+    decided shift by shift and stopping at the first nonzero one."""
+    rows = _product_rows(seq, convention)
+    s = seq.indices
+    for tau in range(1, len(s)):
+        count = _product_counts(rows, s, tau)
+        # a value is zero when each unit occurs as often as its negative
+        if count[0::2] != count[1::2]:
+            return False
+    return True
 
 
 def structure_check() -> dict[str, int]:

@@ -116,14 +116,22 @@ index splits into its high L - k and low k = L // 2 base-8 digits:
 
     hsum[high] + lsum[low] + W[last high, first low] + W[last low, first high]
 
-where hsum and lsum hold the neighbour-pair sums inside each half.  W and
-both half tables (8^(L-k) and 8^k entries) are built once per sweep and
-process; representatives pass shift 1 by four gathers on the index array,
-and only its survivors are expanded into digits for shifts 2..L-1.  One raw
-index in a hundred, regardless of orbit, also runs through the row funnel
-from shift 1 without the quotient; it is the reference for the split and
-the quotient together: those survivors must be exactly the expanded members
-at the sampled indices, or the sweep raises.
+where hsum and lsum hold the neighbour-pair sums inside each half.  A
+representative's first unit is index 0, so with b the first low digit the
+sum vanishes exactly when lsum[low] + W[low & 7, 0], the low's key, is
+-(hsum[high] + W[high & 7, b]).  Once per sweep, process and convention the
+lows are grouped by b and sorted by key (8^k entries, as lsum); a block
+looks up, for each of its high halves and each b, the run of lows with the
+target key (two searchsorted calls per group), and those runs in (high, b)
+order are its shift-1 survivors in index order.  At L = 8, 4.5% of
+representatives survive per convention and 6.9% in either; only they are
+expanded into digits for shifts 2..L-1.  A raw-quaternion block holds at
+least 2^16 representatives, because each block pays a pool round trip and
+several dozen numpy calls whatever its size.  One raw index in a hundred,
+regardless of orbit, also runs through the row funnel from shift 1 without
+the quotient; it is the reference for the lookup and the quotient together:
+those survivors must be exactly the expanded members at the sampled indices,
+or the sweep raises.
 """
 
 from __future__ import annotations
@@ -148,7 +156,7 @@ from .indexfn import (
     generate_poly_array,
 )
 from .quaternion import (
-    CONJ, MUL, UNIT_SYMBOLS, VEC, QuaternionSequence, quat_is_perfect,
+    MUL, PAIR_PRODUCT, UNIT_SYMBOLS, VEC, QuaternionSequence, quat_is_perfect,
 )
 from .seqmodel import PhaseArray, PhaseSequence
 
@@ -374,10 +382,12 @@ def _index_space_size(spec: SearchSpec, suffix_count: Optional[int]) -> int:
     return m ** (spec.vector_width - spec.deg_y - 1) * suffix_count
 
 
-def _blocks(total: int) -> list[tuple[int, int]]:
+def _blocks(total: int, least: int) -> list[tuple[int, int]]:
+    """At most 256 blocks over range(total), each of at least `least`
+    indices but the last."""
     if total == 0:
         return []
-    size = max(4096, math.ceil(total / 256))
+    size = max(least, math.ceil(total / 256))
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -492,8 +502,8 @@ class _SweepMemo:
     reads that row (rows fill on demand and are shared by the head tiles
     that differ by column constants or a shared tail); and the raw tiles a
     spot check has already re-decided.  For a raw-quaternion sweep: the
-    packed pair table of each convention and, past length 1, its two half
-    tables for shift 1."""
+    packed pair table of each convention and, past length 1, its shift-1
+    lookup tables."""
 
     def __init__(
         self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
@@ -522,11 +532,11 @@ class _SweepMemo:
             self.shifts = _tail_shifts(spec, suffixes, self.shared)
             self.identity = list(range(len(self.tails)))
         self.quat_tables: dict = {}
-        self.quat_halves: dict = {}
+        self.quat_lookup: dict = {}
         if spec.family == "raw-quaternion":
             self.quat_tables = _packed_weight_tables(spec.length)
             if spec.length > 1:
-                self.quat_halves = {c: _half_sums(table, spec.length)
+                self.quat_lookup = {c: _shift_one_lookup(table, spec.length)
                                     for c, table in self.quat_tables.items()}
         self.verdicts: dict[tuple[int, ...], Verdicts] = {}
         self.rows: dict[
@@ -839,10 +849,9 @@ def _packed_weight_tables(length: int) -> dict:
     if dtype is None:
         raise ValueError(f"packed quaternion weights overflow int64 at length {length}")
     weight = [sum(c * base**axis for axis, c in enumerate(VEC[u])) for u in range(8)]
-    pairs = [(a, b) for a in range(8) for b in range(8)]
     return {
-        "right": np.array([weight[MUL[a][CONJ[b]]] for a, b in pairs], dtype=dtype),
-        "left": np.array([weight[MUL[CONJ[a]][b]] for a, b in pairs], dtype=dtype),
+        convention: np.array([weight[p] for row in products for p in row], dtype=dtype)
+        for convention, products in PAIR_PRODUCT.items()
     }
 
 
@@ -862,22 +871,51 @@ def _half_sums(table, length: int) -> tuple:
     return by_width[length - length // 2], by_width[length // 2]
 
 
-def _shift_one_sums(indices, length: int, table, halves: tuple):
-    """The packed shift-1 correlation sum of each raw index (length >= 2).
+def _shift_one_lookup(table, length: int) -> tuple:
+    """(hsum, lows, keys), the tables that decide shift 1 of representatives
+    (length >= 2): hsum from `_half_sums`; every low half l of k = length // 2
+    digits, grouped by its first digit b (8^(k-1) lows per group) and sorted
+    inside its group by key = lsum[l] + W[l & 7, 0]; and that key of each."""
+    import numpy as np
 
-    Shift 1 pairs only neighbouring units, so with k = length // 2 low digits
-    the sum is hsum[high] + lsum[low] plus the two pairs that cross the split:
-    (last high digit, first low digit) and the wrap (last low digit, first
-    high digit)."""
+    hsum, lsum = _half_sums(table, length)
     low_width = length // 2
-    hsum, lsum = halves
-    high = indices >> 3 * low_width
-    low = indices & (8**low_width - 1)
-    return (
-        hsum[high] + lsum[low]
-        + table[(high & 7) << 3 | low >> 3 * (low_width - 1)]
-        + table[(low & 7) << 3 | high >> 3 * (length - low_width - 1)]
-    )
+    low = np.arange(8**low_width)
+    key = lsum + table[(low & 7) << 3]
+    # lexsort is stable, so lows with equal keys stay ascending
+    lows = np.lexsort((key, low >> 3 * (low_width - 1)))
+    return hsum, lows, key[lows]
+
+
+def _shift_one_survivors(start: int, stop: int, length: int, table, lookup):
+    """The representatives in [start, stop) whose packed shift-1 sum
+    vanishes, ascending (length >= 2).
+
+    A representative's first unit is index 0, so with high half h and low
+    half l (first digit b) its sum is hsum[h] + lsum[l] + W[h & 7, b] +
+    W[l & 7, 0]: it vanishes exactly when l's key is -(hsum[h] + W[h & 7, b]).
+    Those lows form one run of group b, ascending; runs taken in (h, b)
+    order are in index order."""
+    import numpy as np
+
+    hsum, lows, keys = lookup
+    low_width = length // 2
+    group = 8 ** (low_width - 1)
+    high = np.arange(start >> 3 * low_width, ((stop - 1) >> 3 * low_width) + 1,
+                     dtype=np.int64)
+    head = hsum[high]
+    firsts, lasts = [], []
+    for b in range(8):
+        target = -(head + table[(high & 7) << 3 | b])
+        part = keys[b * group : (b + 1) * group]
+        firsts.append(b * group + np.searchsorted(part, target, "left"))
+        lasts.append(b * group + np.searchsorted(part, target, "right"))
+    first = np.stack(firsts, axis=1).ravel()
+    counts = np.stack(lasts, axis=1).ravel() - first
+    ends = np.cumsum(counts)
+    positions = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
+    reps = np.repeat(np.repeat(high, 8), counts) << 3 * low_width | lows[positions]
+    return reps[np.searchsorted(reps, start) : np.searchsorted(reps, stop)]
 
 
 def _quat_funnel(seqs, tables: dict, first: int = 1) -> dict:
@@ -905,20 +943,22 @@ def _quat_funnel(seqs, tables: dict, first: int = 1) -> dict:
     return out
 
 
-def _rep_survivors(reps, length: int, memo: _SweepMemo) -> dict:
-    """Positions in `reps` (raw indices) whose off-peak autocorrelation
-    vanishes, per convention: shift 1 from the half tables, the later shifts
-    through `_quat_funnel` on the digits of shift 1's survivors alone."""
+def _rep_survivors(start: int, stop: int, length: int, memo: _SweepMemo) -> dict:
+    """The representatives in [start, stop) whose off-peak autocorrelation
+    vanishes, ascending, per convention: shift 1 from the lookup tables, the
+    later shifts through `_quat_funnel` on the digits of shift 1's survivors
+    alone."""
     import numpy as np
 
     out = {}
     for convention, table in memo.quat_tables.items():
-        rows = np.arange(len(reps))
         if length > 1:
-            sums = _shift_one_sums(reps, length, table, memo.quat_halves[convention])
-            rows = rows[sums == 0]
-        later = _quat_funnel(_unit_digits(reps[rows], length), {convention: table}, 2)
-        out[convention] = rows[later[convention]]
+            reps = _shift_one_survivors(start, stop, length, table,
+                                        memo.quat_lookup[convention])
+        else:
+            reps = np.arange(start, stop, dtype=np.int64)
+        later = _quat_funnel(_unit_digits(reps, length), {convention: table}, 2)
+        out[convention] = reps[later[convention]]
     return out
 
 
@@ -933,14 +973,12 @@ def _raw_quaternion_block(
     L = spec.length
     mod, residue = spec.filter_mod, spec.filter_residue
     rep_conventions: dict[int, list[str]] = {}
-    for convention, rows in _rep_survivors(
-        np.arange(start, stop, dtype=np.int64), L, memo
-    ).items():
-        for row in rows.tolist():
-            rep_conventions.setdefault(row, []).append(convention)
+    for convention, reps in _rep_survivors(start, stop, L, memo).items():
+        for r in reps.tolist():
+            rep_conventions.setdefault(r, []).append(convention)
     members = []
-    for row, conventions in rep_conventions.items():
-        rep = _digits(start + row, 8, L)
+    for r, conventions in rep_conventions.items():
+        rep = _digits(r, 8, L)
         for u in range(8):
             units = tuple(MUL[u][x] for x in rep)
             g = int("".join(map(str, units)), 8)
@@ -1105,8 +1143,13 @@ def run_search(spec: SearchSpec) -> SearchReport:
         raise AssertionError(
             f"{len(suffixes)} collapse suffixes enumerated, {suffix_count} counted"
         )
-    # raw-quaternion blocks cut the orbit representatives, one per 8 sequences
-    blocks = _blocks(total // 8 if spec.family == "raw-quaternion" else total)
+    # raw-quaternion blocks cut the orbit representatives, one per 8 sequences,
+    # into blocks large enough that numpy calls and the pool's round trip per
+    # block stay small beside the block's work
+    if spec.family == "raw-quaternion":
+        blocks = _blocks(total // 8, 1 << 16)
+    else:
+        blocks = _blocks(total, 4096)
     # kept blocks' hit records, each list ascending by global index
     held: list[list[tuple]] = []
     held_count = 0

@@ -1,5 +1,7 @@
 """Unit quaternion group: table oracles, frozen profiles, convention split."""
 
+import itertools
+
 import pytest
 
 from aopseq.quaternion import (
@@ -7,12 +9,14 @@ from aopseq.quaternion import (
     MUL,
     NEG,
     QuaternionSequence,
+    VEC,
     QuatUnit,
     quat_autocorrelate,
     quat_is_perfect,
     structure_check,
     vector_mul,
 )
+from aopseq.search import SearchSpec, run_search
 
 
 def test_structure_check_counts():
@@ -134,3 +138,59 @@ def test_unknown_convention_rejected():
     seq = QuaternionSequence.from_symbols(["1", "i"])
     with pytest.raises(ValueError):
         quat_autocorrelate(seq, "middle")
+    with pytest.raises(ValueError):
+        quat_is_perfect(seq, "middle")
+
+
+def reference_profile(units, convention):
+    """Every autocorrelation value term by term from MUL, CONJ and VEC,
+    without the product table the module reads."""
+    length = len(units)
+    values = []
+    for tau in range(length):
+        total = [0, 0, 0, 0]
+        for i in range(length):
+            a, b = units[i], units[(i + tau) % length]
+            prod = MUL[a][CONJ[b]] if convention == "right" else MUL[CONJ[a]][b]
+            total = [t + v for t, v in zip(total, VEC[prod])]
+        values.append(tuple(total))
+    return tuple(values)
+
+
+def profile_is_perfect(seq, convention):
+    return all(v == (0, 0, 0, 0) for v in reference_profile(seq.indices, convention)[1:])
+
+
+def test_is_perfect_agrees_with_profile_exhaustively():
+    """Every sequence of length 1..5 in both conventions (74,896 cases):
+    the early-stopping check agrees with the term-by-term reference, and so
+    does the full profile up to length 4."""
+    cases = perfect = 0
+    for length in range(1, 6):
+        for units in itertools.product(range(8), repeat=length):
+            seq = QuaternionSequence(units)
+            for convention in ("right", "left"):
+                got = quat_is_perfect(seq, convention)
+                assert got == profile_is_perfect(seq, convention), (units, convention)
+                if length <= 4:
+                    assert quat_autocorrelate(seq, convention) == reference_profile(
+                        units, convention)
+                cases += 1
+                perfect += got
+    assert cases == 74896
+    assert perfect > 0
+
+
+def test_length_eight_hits_with_one_unit_negated_fail():
+    """Every perfect sequence of length 8 is perfect in both conventions,
+    and negating any one of its units makes it fail both checks."""
+    report = run_search(SearchSpec(family="raw-quaternion", length=8, hit_limit=8192))
+    assert len(report.hits) == report.hits_total == 1536
+    for hit in report.hits:
+        assert hit["conventions"] == ["right", "left"]
+        units = QuaternionSequence.from_symbols(hit["symbols"]).indices
+        for p in range(8):
+            seq = QuaternionSequence(units[:p] + (NEG[units[p]],) + units[p + 1 :])
+            for convention in ("right", "left"):
+                assert not quat_is_perfect(seq, convention)
+                assert not profile_is_perfect(seq, convention)

@@ -364,25 +364,42 @@ def test_raw_quaternion_filter_matches_filtered_brute_force():
 
 def test_raw_quaternion_hit_limit_keeps_lowest_indices():
     """Orbit members of one block spread over the whole index space, so the
-    capped list must be the first hits by global index, not by block."""
-    spec = SearchSpec(family="raw-quaternion", length=6)
-    full = run_search(spec)
+    capped list must be the first hits by global index, not by block.  L = 8
+    at filter_mod 7 has 32 blocks and 240 hits, so the cap falls across
+    blocks."""
+    spec = dict(family="raw-quaternion", length=8, filter_mod=7, filter_residue=3)
+    full = run_search(SearchSpec(**spec))
+    assert len(full.worker_chunks) == 32
     assert full.hits_total > 40
     assert len(full.hits) == full.hits_total
     order = [[UNIT_SYMBOLS.index(x) for x in h["symbols"]] for h in full.hits]
     assert order == sorted(order)
-    capped = run_search(SearchSpec(family="raw-quaternion", length=6, hit_limit=40))
+    capped = run_search(SearchSpec(**spec, hit_limit=40))
     assert capped.hits == full.hits[:40]
     assert capped.hits_total == full.hits_total
     assert capped.convention_counts == full.convention_counts
 
 
 def test_raw_quaternion_reports_identical_across_worker_counts():
-    outputs = [
-        run_search(SearchSpec(family="raw-quaternion", length=6, workers=w)).canonical_json()
-        for w in (1, 2, 4)
-    ]
+    """L = 8 at filter_mod 7 has 32 blocks with hits, so 2 and 4 workers
+    split real hit lists across processes."""
+    reports = [run_search(SearchSpec(family="raw-quaternion", length=8, filter_mod=7,
+                                     filter_residue=3, workers=w))
+               for w in (1, 2, 4)]
+    assert [len(r.worker_chunks) for r in reports] == [32, 32, 32]
+    assert reports[0].hits_total > 0
+    outputs = [r.canonical_json() for r in reports]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("length, blocks", [(6, 1), (7, 4), (8, 32)])
+def test_raw_quaternion_blocks_hold_at_least_two_to_the_sixteen(length, blocks):
+    """Raw-quaternion blocks hold at least 2^16 representatives, so each
+    block's fixed numpy and pool cost stays small beside its work."""
+    report = run_search(SearchSpec(family="raw-quaternion", length=length,
+                                   filter_mod=7, filter_residue=3))
+    assert len(report.worker_chunks) == blocks
+    assert report.worker_chunks[0]["stop"] == min(1 << 16, 8 ** (length - 1))
 
 
 def test_raw_quaternion_sample_mismatch_raises(monkeypatch):
@@ -416,33 +433,51 @@ def row_shift_one_sums(indices, length, table):
     return table[seqs << 3 | doubled[:, 1 : 1 + length]].sum(axis=1, dtype=table.dtype)
 
 
-def split_mismatches(length):
-    """The representatives at `length` whose split shift-1 sum differs from
-    the row funnel's in either convention."""
+def row_shift_one_survivors(start, stop, length, table, lookup=None):
+    """The reference for `_shift_one_survivors`: the representatives in
+    [start, stop) whose row-funnel shift-1 sum vanishes."""
+    reps = np.arange(start, stop, dtype=np.int64)
+    return reps[row_shift_one_sums(reps, length, table) == 0]
+
+
+def lookup_mismatches(length):
+    """The representatives in the ranges of `block_bounds` that the lookup
+    and the row funnel's shift-1 sum disagree on, either convention."""
     memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), None)
-    reps = np.arange(8 ** (length - 1), dtype=np.int64)
     bad = set()
     for convention, table in memo.quat_tables.items():
-        split = search._shift_one_sums(reps, length, table, memo.quat_halves[convention])
-        bad.update(np.flatnonzero(split != row_shift_one_sums(reps, length, table)).tolist())
+        for lo, hi in block_bounds(length):
+            got = search._shift_one_survivors(lo, hi, length, table,
+                                              memo.quat_lookup[convention])
+            want = row_shift_one_survivors(lo, hi, length, table)
+            bad.update(set(got.tolist()) ^ set(want.tolist()))
     return bad
+
+
+def block_bounds(length):
+    """The whole representative range and two ranges whose bounds are not
+    multiples of 8^(L // 2)."""
+    total, low = 8 ** (length - 1), 8 ** (length // 2)
+    return ((0, total), (5, min(low + 3, total)), (low - 3, total - 1))
 
 
 @pytest.mark.parametrize("length", range(2, 8))
 def test_split_shift_one_matches_row_funnel(length):
-    """Every representative at L = 2..7, both conventions: the split sum
-    equals the row funnel's, and the survivors of every shift, taken over
-    block bounds that are not multiples of 8^(L // 2), equal the row
-    funnel's from shift 1."""
-    assert split_mismatches(length) == set()
+    """Every representative at L = 2..7, both conventions: over the whole
+    range and over block bounds that are not multiples of 8^(L // 2), the
+    lookup returns, in ascending order, exactly the representatives whose
+    row-funnel shift-1 sum vanishes, and the survivors of every shift equal
+    the row funnel's from shift 1."""
     memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), None)
-    total, low = 8 ** (length - 1), 8 ** (length // 2)
-    for lo, hi in ((0, total), (5, min(low + 3, total)), (low - 3, total - 1)):
+    for lo, hi in block_bounds(length):
         reps = np.arange(lo, hi, dtype=np.int64)
-        split = search._rep_survivors(reps, length, memo)
         rows = search._quat_funnel(search._unit_digits(reps, length), memo.quat_tables)
-        for convention in ("right", "left"):
-            assert split[convention].tolist() == rows[convention].tolist()
+        split = search._rep_survivors(lo, hi, length, memo)
+        for convention, table in memo.quat_tables.items():
+            got = search._shift_one_survivors(lo, hi, length, table,
+                                              memo.quat_lookup[convention])
+            assert got.tolist() == row_shift_one_survivors(lo, hi, length, table).tolist()
+            assert split[convention].tolist() == (lo + rows[convention]).tolist()
 
 
 def test_split_reports_match_row_funnel_reports(monkeypatch):
@@ -452,46 +487,52 @@ def test_split_reports_match_row_funnel_reports(monkeypatch):
     specs = [SearchSpec(family="raw-quaternion", length=L, filter_mod=3,
                         filter_residue=r) for L, r in ((5, 2), (6, 0), (6, 1))]
     split = [run_search(spec).canonical_json() for spec in specs]
-    monkeypatch.setattr(search, "_shift_one_sums",
-                        lambda indices, length, table, halves:
-                        row_shift_one_sums(indices, length, table))
-    monkeypatch.setattr(search, "_blocks", lambda total: [
+    monkeypatch.setattr(search, "_shift_one_survivors", row_shift_one_survivors)
+    monkeypatch.setattr(search, "_blocks", lambda total, least: [
         (lo, min(lo + 1001, total)) for lo in range(0, total, 1001)])
     assert [run_search(spec).canonical_json() for spec in specs] == split
     assert json.loads(split[1])["hits_total"] > 0
 
 
 def test_split_without_wrap_term_is_caught(monkeypatch):
-    """Negative control: a split that drops the wrap pair (last low digit,
-    first high digit) fails the differential, and a sweep refuses it."""
-    def without_wrap(indices, length, table, halves):
-        low_width = length // 2
-        hsum, lsum = halves
-        high = indices >> 3 * low_width
-        low = indices & (8**low_width - 1)
-        return hsum[high] + lsum[low] + table[(high & 7) << 3 | low >> 3 * (low_width - 1)]
+    """Negative control: lookup keys built without the wrap pair (last low
+    digit, first high digit) fail the differential, and a sweep refuses
+    them."""
+    def without_wrap(table, length):
+        hsum, lsum = search._half_sums(table, length)
+        low = np.arange(8 ** (length // 2))
+        lows = np.lexsort((lsum, low >> 3 * (length // 2 - 1)))
+        return hsum, lows, lsum[lows]
 
-    monkeypatch.setattr(search, "_shift_one_sums", without_wrap)
-    assert split_mismatches(5)
+    monkeypatch.setattr(search, "_shift_one_lookup", without_wrap)
+    assert lookup_mismatches(5)
     with pytest.raises(AssertionError, match="unquotiented funnel"):
         run_search(SearchSpec(family="raw-quaternion", length=6))
 
 
 def test_quaternion_tables_built_once_per_sweep(monkeypatch):
-    """The pair tables are built once per sweep and process, the half tables
-    once per convention, and no half table at L = 1."""
+    """In a serial 4-block L = 7 sweep the pair tables are built once and
+    the shift-1 lookup once per convention, each holding 8^(L // 2) lows
+    and keys; no lookup is built at L = 1."""
     calls = []
-    for name in ("_packed_weight_tables", "_half_sums"):
+    built = []
+    for name in ("_packed_weight_tables", "_shift_one_lookup"):
         real = getattr(search, name)
 
         def counting(*args, real=real, name=name):
             calls.append(name)
-            return real(*args)
+            out = real(*args)
+            built.append(out)
+            return out
 
         monkeypatch.setattr(search, name, counting)
-    report = run_search(SearchSpec(family="raw-quaternion", length=6))
-    assert len(report.worker_chunks) > 1
-    assert calls == ["_packed_weight_tables", "_half_sums", "_half_sums"]
+    report = run_search(SearchSpec(family="raw-quaternion", length=7))
+    assert len(report.worker_chunks) == 4
+    assert calls == ["_packed_weight_tables", "_shift_one_lookup", "_shift_one_lookup"]
+    for hsum, lows, keys in built[1:]:
+        assert len(hsum) == 8**4
+        assert len(lows) == len(keys) == 8**3
+        assert sorted(lows.tolist()) == list(range(8**3))
     calls.clear()
     run_search(SearchSpec(family="raw-quaternion", length=1))
     assert calls == ["_packed_weight_tables"]
@@ -506,6 +547,7 @@ def test_raw_quaternion_length_nine_report_unchanged():
     report = run_search(SearchSpec(family="raw-quaternion", length=9, hit_limit=8192,
                                    budget=2 * 10**8, workers=2))
     assert report.total_candidates == 8**9
+    assert len(report.worker_chunks) == 256
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == QUATERNION_L9_SHA256
 
@@ -955,7 +997,8 @@ def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
     differ by column constants share a row: sweep-floored (16 of 64 tails
     shared) fills 16 rows of 64 slots, sweep-poly (only the zero tail
     shared) 27 rows of 27 slots, one per x^1 and x^2 head rows, because its
-    x^0 row only adds a constant to each column."""
+    x^0 row only adds a constant to each column.  Their index-function
+    blocks keep the 4,096 minimum: 64 and 5 blocks."""
     calls = []
     real = search._class_verdicts
 
@@ -967,13 +1010,17 @@ def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
     floored = SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=2,
                          r_range=(1, 8), c_range=(1, 8))
     assert len(search._shared_tails(floored, None)) == 16
-    assert run_search(floored).total_candidates == 262144
+    floored_report = run_search(floored)
+    assert floored_report.total_candidates == 262144
+    assert len(floored_report.worker_chunks) == 64
     assert len(calls) == 1024
     calls.clear()
     poly = SearchSpec(family="poly", n=3, deg_x=2, deg_y=2,
                       r_range=(1, 9), c_range=(1, 9))
     assert search._shared_tails(poly, None) == [0]
-    assert run_search(poly).total_candidates == 19683
+    poly_report = run_search(poly)
+    assert poly_report.total_candidates == 19683
+    assert len(poly_report.worker_chunks) == 5
     assert len(calls) == 729
 
 
