@@ -19,6 +19,7 @@ from typing import Optional, TextIO, Union
 
 from . import __version__
 from .aop import (
+    AopVerdict,
     check_aop,
     is_perfect_array,
     is_perfect_projection,
@@ -274,6 +275,15 @@ def _float_advisory(obj: FileObject) -> list[str]:
     return [f"float-offpeak-max: {worst!r}"]
 
 
+def _aop_lines(verdict: AopVerdict) -> list[str]:
+    """The `aop:` line and, when it fails, its condition and witness."""
+    lines = [f"aop: {str(verdict.holds).lower()}"]
+    if not verdict.holds:
+        lines.append(f"aop-failing-condition: {verdict.failing_condition}")
+        lines.append("aop-witness: " + ",".join(str(w) for w in verdict.witness))
+    return lines
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     obj = read_object(args.path)
     lines = [
@@ -302,20 +312,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.divisor is not None:
             verdict = check_aop(unflatten(obj, len(obj) // args.divisor, args.divisor))
             holds &= verdict.holds
-            lines.append(f"aop: {str(verdict.holds).lower()}")
-            if not verdict.holds:
-                lines.append(f"aop-failing-condition: {verdict.failing_condition}")
-                lines.append(
-                    "aop-witness: " + ",".join(str(w) for w in verdict.witness)
-                )
+            lines += _aop_lines(verdict)
     elif isinstance(obj, PhaseArray):
         verdict = check_aop(obj)
         perfect = is_perfect_array(obj)
         holds &= verdict.holds and perfect
-        lines.append(f"aop: {str(verdict.holds).lower()}")
-        if not verdict.holds:
-            lines.append(f"aop-failing-condition: {verdict.failing_condition}")
-            lines.append("aop-witness: " + ",".join(str(w) for w in verdict.witness))
+        lines += _aop_lines(verdict)
         lines.append(f"perfect-array: {str(perfect).lower()}")
     elif isinstance(obj, QuaternionSequence):
         wanted = ("right", "left") if args.convention == "both" else (args.convention,)

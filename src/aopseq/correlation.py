@@ -69,7 +69,6 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 from operator import sub
-from typing import TextIO
 
 from .cyclotomic import CyclotomicInt, audit, counts_is_zero, counts_to_complex
 from .seqmodel import PhaseArray, PhaseSequence, ProjectionSequence, column_sum, flatten
@@ -84,7 +83,6 @@ __all__ = [
     "decomposition_check_all",
     "projection_sum_check",
     "projection_sum_check_all",
-    "write_profile_csv",
 ]
 
 
@@ -482,18 +480,3 @@ def projection_sum_check_all(array: PhaseArray) -> bool:
         R, n, lane,
     )
     return all(_ring_equal(left, right, n) for left, right in zip(lhs, rhs))
-
-
-def write_profile_csv(profile: CorrelationProfile, stream: TextIO) -> None:
-    """CSV export: shift index (or v,h pair), real part, imaginary part, and
-    an exact-zero flag."""
-    two_d = len(profile.shape) == 2
-    stream.write("v,h,re,im,exact_zero\n" if two_d else "tau,re,im,exact_zero\n")
-    as_complex = profile.to_complex()
-    for flat, z in enumerate(as_complex):
-        flag = "1" if profile.values[flat].is_zero() else "0"
-        if two_d:
-            v, h = divmod(flat, profile.shape[1])
-            stream.write(f"{v},{h},{z.real!r},{z.imag!r},{flag}\n")
-        else:
-            stream.write(f"{flat},{z.real!r},{z.imag!r},{flag}\n")

@@ -28,7 +28,9 @@ vanish.
 
 A tile mod m is linear in the coefficient vector, so the vector is split
 into a head (every coefficient but the last x-power row) and a tail (that
-row, or one of the collapse suffixes), and the index is head * tails + tail.
+row), and the index is head * tails + tail.  The tails are one list per
+sweep, lexicographic; the collapse restriction keeps only the tails whose
+quadratic-row polynomial vanishes mod n on every residue.
 The tail tiles are tabulated once per sweep in each process; a candidate's
 tile is (head tile + tail tile) mod m, floored by n for the floored family.
 Verdicts are memoized per column-phase class of the tile: every column is
@@ -82,16 +84,18 @@ merged records until it has `hit_limit` of them.
 One candidate in a hundred is re-checked the slow way.  First, the verdicts
 its head tile's shared row holds for it must be the verdicts of the class of
 its own composed tile, which filling that slot from a tile of the same class
-decided; this comparison adds no `spot_checks` units.  Then its tile is
-built directly from the coefficient vector and must equal the composed tile,
-and the array is regenerated directly from the index function (column by
-column, on unreduced i and j) and must equal the periodic extension of that
-raw tile at every cell, which also covers every duplicate column.  The
-direct columns are then a function of the raw tile alone, so the first
-sample of each distinct raw tile per sweep and process re-decides every
-pruned (R, C) with C > m or R >= 2m, one verdict pass per R over the first
-max C direct columns, and has its own verdicts recomputed and compared with
-its class's, which keeps the quotient itself under a direct check.  Every
+decided; this comparison adds no `spot_checks` units.  Then the array is
+regenerated directly from the index function (column by column, on
+unreduced i and j) and must equal the periodic extension of the composed
+tile at every cell, the one tile comparison: the array's top-left m x m
+block is the tile, and the rest covers every duplicate column.  The direct
+columns are then a function of the composed tile alone, so the first sample
+of each distinct tile per sweep and process runs one verdict pass: one
+`_aop_holds_widths` call per R in range over the first max C direct columns,
+collecting every (R, C) that holds.  That list must equal the class's
+verdicts exactly.  Class verdicts hold no pruned cell, so one comparison
+re-decides every pruned (R, C) with C > m or R >= 2m and checks the class's
+verdicts, quotient and cuts included, on the tile's own columns.  Every
 sample still counts its spot-check units and has each recorded hit
 re-decided by the public check.
 
@@ -334,52 +338,42 @@ def _leading_vanishes(coeffs: tuple[int, ...], m: int, n: int) -> bool:
     return True
 
 
-def _collapse_leading_tuples(m: int, n: int, width: int) -> list[tuple[int, ...]]:
-    """All vectors of quadratic-row coefficients whose induced A(j) vanishes
-    mod n at every j in [0, m).  Lexicographically ordered."""
-    return [
-        tup
-        for tup in itertools.product(range(m), repeat=width)
-        if _leading_vanishes(tup, m, n)
-    ]
+def _tail_vectors(spec: SearchSpec) -> list[tuple[int, ...]]:
+    """Every tail in tail-index order: each last x-power row of coefficients,
+    lexicographically; under the collapse restriction with a quadratic row,
+    only those whose A(j) vanishes mod n at every j in [0, m)."""
+    m = spec.coeff_modulus
+    vectors = itertools.product(range(m), repeat=spec.deg_y + 1)
+    if spec.restriction == "collapse" and spec.deg_x >= 2:
+        return [t for t in vectors if _leading_vanishes(t, m, spec.n)]
+    return list(vectors)
 
 
-def _collapse_suffixes(spec: SearchSpec) -> Optional[list[tuple[int, ...]]]:
-    """The constrained suffixes of a collapse-restricted sweep with a
-    quadratic row, computed once per sweep; None for any other sweep."""
-    if spec.restriction != "collapse" or spec.deg_x < 2:
-        return None
-    return _collapse_leading_tuples(spec.coeff_modulus, spec.n, spec.deg_y + 1)
+def _tail_count(spec: SearchSpec) -> int:
+    """len(_tail_vectors(spec)) without enumerating a tuple: m^(deg_y + 1)
+    unless the collapse restriction applies.
 
-
-def _collapse_suffix_count(spec: SearchSpec) -> Optional[int]:
-    """len(_collapse_suffixes(spec)) without enumerating a tuple; None when
-    that is None.
-
-    With m = nK, A(j) mod m mod n is A(j) mod n, so a tuple qualifies iff its
-    residue mod n is a polynomial of degree < w = deg_y + 1 that vanishes on
-    every residue mod n, and each such residue has K^w lifts.  In the
+    Under it, with m = nK, A(j) mod m mod n is A(j) mod n, so a tuple
+    qualifies iff its residue mod n is a polynomial of degree < w = deg_y + 1
+    that vanishes on every residue mod n, and each such residue has K^w lifts.  In the
     falling-factorial basis, unimodular over Z, that polynomial is
     sum_i b_i (x)_i with i! b_i = (its i-th forward difference at 0) = 0 mod
     n, which gcd(n, i!) values of b_i satisfy."""
-    if spec.restriction != "collapse" or spec.deg_x < 2:
-        return None
     width = spec.deg_y + 1
+    if spec.restriction != "collapse" or spec.deg_x < 2:
+        return spec.coeff_modulus**width
     count = spec.k**width
     for i in range(width):
         count *= math.gcd(spec.n, math.factorial(i))
     return count
 
 
-def _index_space_size(spec: SearchSpec, suffix_count: Optional[int]) -> int:
+def _index_space_size(spec: SearchSpec) -> int:
     if spec.family == "raw-phase":
         return spec.n**spec.length
     if spec.family == "raw-quaternion":
         return 8**spec.length
-    m = spec.coeff_modulus
-    if suffix_count is None:
-        return m**spec.vector_width
-    return m ** (spec.vector_width - spec.deg_y - 1) * suffix_count
+    return spec.coeff_modulus ** (spec.vector_width - spec.deg_y - 1) * _tail_count(spec)
 
 
 def _blocks(total: int, least: int) -> list[tuple[int, int]]:
@@ -392,15 +386,13 @@ def _blocks(total: int, least: int) -> list[tuple[int, int]]:
 
 
 def _coeff_vector(
-    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]], idx: int
+    spec: SearchSpec, vectors: list[tuple[int, ...]], idx: int
 ) -> list[int]:
-    """The coefficient vector of candidate `idx`, honoring the collapse
-    restriction's split into free prefix and constrained suffix."""
-    m, width = spec.coeff_modulus, spec.vector_width
-    if suffixes is None:
-        return _digits(idx, m, width)
-    prefix_idx, valid_idx = divmod(idx, len(suffixes))
-    return _digits(prefix_idx, m, width - spec.deg_y - 1) + list(suffixes[valid_idx])
+    """The coefficient vector of candidate `idx`: the head digits of
+    idx // len(vectors), then tail idx % len(vectors)."""
+    head, tail = divmod(idx, len(vectors))
+    head_width = spec.vector_width - spec.deg_y - 1
+    return _digits(head, spec.coeff_modulus, head_width) + list(vectors[tail])
 
 
 def _monomial_rows(spec: SearchSpec) -> list[list[int]]:
@@ -420,16 +412,6 @@ def _monomial_rows(spec: SearchSpec) -> list[list[int]]:
     return rows
 
 
-def _tail_vectors(
-    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
-) -> list[tuple[int, ...]]:
-    """Every tail in tail-index order: each last x-power row of
-    coefficients, or each collapse suffix."""
-    if suffixes is not None:
-        return suffixes
-    return list(itertools.product(range(spec.coeff_modulus), repeat=spec.deg_y + 1))
-
-
 def _row_tiles(
     vectors, mono: list[list[int]], cols: slice, m: int
 ) -> list[tuple[int, ...]]:
@@ -440,19 +422,14 @@ def _row_tiles(
 
 
 def _tail_tiles(
-    spec: SearchSpec,
-    suffixes: Optional[list[tuple[int, ...]]],
-    mono: list[list[int]],
+    spec: SearchSpec, vectors: list[tuple[int, ...]], mono: list[list[int]]
 ) -> list[tuple[int, ...]]:
     """The tile of each tail in tail-index order."""
-    width = spec.deg_y + 1
-    return _row_tiles(_tail_vectors(spec, suffixes), mono,
-                      slice(spec.vector_width - width, None), spec.coeff_modulus)
+    return _row_tiles(vectors, mono, slice(spec.vector_width - spec.deg_y - 1, None),
+                      spec.coeff_modulus)
 
 
-def _shared_tails(
-    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
-) -> list[int]:
+def _shared_tails(spec: SearchSpec, vectors: list[tuple[int, ...]]) -> list[int]:
     """The tails s whose tile is also a head tile, in tail-index order.
 
     The tail tile is i^d q_s(j) with d = deg_x and q_s the tail's polynomial
@@ -463,18 +440,16 @@ def _shared_tails(
     such a function mod m only when d! c = 0 mod m (Singmaster 1974)."""
     m = spec.coeff_modulus
     vanish = m // math.gcd(m, math.factorial(spec.deg_x))
-    return [s for s, tail in enumerate(_tail_vectors(spec, suffixes))
-            if _leading_vanishes(tail, m, vanish)]
+    return [s for s, tail in enumerate(vectors) if _leading_vanishes(tail, m, vanish)]
 
 
 def _tail_shifts(
-    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]], shared: list[int]
+    spec: SearchSpec, vectors: list[tuple[int, ...]], shared: list[int]
 ) -> list[list[int]]:
     """For each s in `shared`, its index map t -> s (+) t, the tail whose
     coefficients are those of tails s and t added digit-wise mod m (the
-    collapse suffixes are closed under that sum)."""
+    collapse-restricted tails are closed under that sum)."""
     m = spec.coeff_modulus
-    vectors = _tail_vectors(spec, suffixes)
     position = {v: t for t, v in enumerate(vectors)}
     return [
         [position[tuple([(a + b) % m for a, b in zip(vectors[s], v)])] for v in vectors]
@@ -494,21 +469,19 @@ Verdicts = tuple[tuple[int, int], ...]
 class _SweepMemo:
     """One sweep's state in one process.
 
-    For an index-function sweep: the collapse suffixes, monomial rows and
-    tail tiles; the tiles of every value of the last head row, added to the
+    For an index-function sweep: the tail vectors, monomial rows and tail
+    tiles; the tiles of every value of the last head row, added to the
     tile of the remaining head digits to build a head tile; the shared tails
     (one per distinct tile) with their index maps; verdicts per column-phase
     class; per row key, a verdict row and the index map through which it
     reads that row (rows fill on demand and are shared by the head tiles
-    that differ by column constants or a shared tail); and the raw tiles a
+    that differ by column constants or a shared tail); and the tiles a
     spot check has already re-decided.  For a raw-quaternion sweep: the
     packed pair table of each convention and, past length 1, its shift-1
     lookup tables."""
 
-    def __init__(
-        self, spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]
-    ) -> None:
-        self.suffixes = suffixes
+    def __init__(self, spec: SearchSpec, vectors: list[tuple[int, ...]]) -> None:
+        self.vectors = vectors
         self.mono: list[list[int]] = []
         self.tails: list[tuple[int, ...]] = []
         self.last_head_tiles: list[tuple[int, ...]] = []
@@ -518,7 +491,7 @@ class _SweepMemo:
         if spec.family in ("poly", "floored"):
             m = spec.coeff_modulus
             self.mono = _monomial_rows(spec)
-            self.tails = _tail_tiles(spec, suffixes, self.mono)
+            self.tails = _tail_tiles(spec, vectors, self.mono)
             head_width = spec.vector_width - spec.deg_y - 1
             upper_width = _upper_width(spec)
             self.last_head_tiles = _row_tiles(
@@ -526,10 +499,10 @@ class _SweepMemo:
                 self.mono, slice(upper_width, head_width), m,
             )
             by_tile = {}
-            for s in _shared_tails(spec, suffixes):
+            for s in _shared_tails(spec, vectors):
                 by_tile.setdefault(self.tails[s], s)
             self.shared = list(by_tile.values())
-            self.shifts = _tail_shifts(spec, suffixes, self.shared)
+            self.shifts = _tail_shifts(spec, vectors, self.shared)
             self.identity = list(range(len(self.tails)))
         self.quat_tables: dict = {}
         self.quat_lookup: dict = {}
@@ -556,6 +529,22 @@ def _periodic_rows(period: int) -> int:
     return 2 * period
 
 
+def _verdict_pass(
+    columns: list[tuple[int, ...]], r_values: range, c_values: range, order: int
+) -> list[tuple[int, int]]:
+    """Every (R, C) in r_values x c_values, R-major, at which the first C
+    `columns` cut to R rows have the AOP: one verdict pass per R over the
+    first max C columns."""
+    out = []
+    if not c_values:
+        return out
+    columns = columns[: c_values[-1]]
+    for R in r_values:
+        holds = _aop_holds_widths([col[:R] for col in columns], R, order)
+        out.extend((R, C) for C in c_values if holds[C - 1])
+    return out
+
+
 def _tile_verdicts(
     tile_cols: list[tuple[int, ...]],
     period: int,
@@ -565,17 +554,14 @@ def _tile_verdicts(
 ) -> list[tuple[int, int]]:
     # column counts beyond the period are skipped: columns 0 and `period` are
     # the same residue column, their shift-0 inner product is R, so condition
-    # 1 cannot hold; row counts from _periodic_rows(period) on fail condition 2
-    widths = min(c_range[1], period)
-    c_values = range(c_range[0], widths + 1)
-    out = []
-    if not c_values:
-        return out
-    for R in range(r_range[0], min(r_range[1] + 1, _periodic_rows(period))):
-        reps = -(-R // period)
-        holds = _aop_holds_widths([(tc * reps)[:R] for tc in tile_cols[:widths]], R, order)
-        out.extend((R, C) for C in c_values if holds[C - 1])
-    return out
+    # 1 cannot hold; row counts from _periodic_rows(period) on fail condition
+    # 2, and two periods cover every row count below that
+    return _verdict_pass(
+        [tc * 2 for tc in tile_cols],
+        range(r_range[0], min(r_range[1] + 1, _periodic_rows(period))),
+        range(c_range[0], min(c_range[1], period) + 1),
+        order,
+    )
 
 
 def _row_key(tile: tuple[int, ...], period: int, divisor: int) -> tuple[int, ...]:
@@ -610,42 +596,31 @@ def _spot_check(
 ) -> int:
     """Slow-path cross-check for sampled candidate `idx`.
 
-    Its tile built directly from the coefficient vector must equal the
-    composed tile.  The array regenerated straight from the index function
-    must equal, at every cell, the periodic extension of that raw tile,
-    whose row i % m repeated and cut to the array's width gives row i; so
-    the direct columns are a function of the raw tile alone.  The first
-    sample of each distinct raw tile in a sweep and process then re-decides
-    every pruned (R, C), C > m or R >= 2m, with one verdict pass per R over
-    the direct columns, and, when the tile lies outside its class
-    representative, has its own verdicts recomputed and compared with its
-    class's.  Every recorded hit must pass the public check.  Returns the
-    number of verification units (tile confirmation plus each column prune
-    the sample's raw tile has re-examined), the same for every sample;
-    raises on any mismatch.
+    The array regenerated straight from the index function must equal, at
+    every cell, the periodic extension of the composed tile, whose row i % m
+    repeated and cut to the array's width gives row i; its top-left m x m
+    block is the tile itself, so the direct columns are a function of the
+    composed tile alone.  The first sample of each distinct tile in a sweep
+    and process then runs one verdict pass per R over its first max C direct
+    columns, for every (R, C) in range, which must give exactly its class's
+    verdicts: that re-decides every pruned (R, C), C > m or R >= 2m, and
+    checks the class's verdicts on the tile's own columns.  Every recorded
+    hit must pass the public check.  Returns the number of verification units
+    (tile confirmation plus each column prune the sample's tile has
+    re-examined), the same for every sample; raises on any mismatch.
     """
     m = spec.coeff_modulus
     order = spec.alphabet_order
-    floored = spec.family == "floored"
-    divisor = spec.n if floored else 1
-    vector = _coeff_vector(spec, memo.suffixes, idx)
-    flat = [
-        sum(c * r for c, r in zip(vector, row) if c) % m // divisor for row in memo.mono
-    ]
-    if flat != composed:
-        raise AssertionError(
-            f"composed tile {composed} differs from the direct tile {flat} "
-            f"of vector {vector}"
-        )
+    vector = _coeff_vector(spec, memo.vectors, idx)
     fn = PolyIndex.from_coeff_vector(m, spec.deg_x, spec.deg_y, vector)
     generate = generate_poly_array
-    if floored:
+    if spec.family == "floored":
         fn, generate = FlooredIndex(fn, spec.n, spec.k), generate_floored_array
     c_hi = spec.c_range[1]
     direct = generate(fn, max(spec.r_range[1], m), max(c_hi, m + 1))
     rows, cols = direct.rows, direct.cols
     reps = -(-cols // m)
-    extended = [(flat[i * m : (i + 1) * m] * reps)[:cols] for i in range(m)]
+    extended = [(composed[i * m : (i + 1) * m] * reps)[:cols] for i in range(m)]
     if direct.exponents != tuple(
         itertools.chain.from_iterable(extended[i % m] for i in range(rows))
     ):
@@ -653,33 +628,24 @@ def _spot_check(
                     if direct.entry(i, j) != extended[i % m][j])
         raise AssertionError(
             f"direct array differs from the periodic extension of its tile "
-            f"at {cell} for vector {vector}"
+            f"at {cell} for vector {vector}, composed tile {composed}"
         )
     pruned = range(max(spec.c_range[0], m + 1), c_hi + 1)
     r_values = _dim_values(spec.r_range)
-    raw = tuple(flat)
-    if raw not in memo.spot_tiles:
-        memo.spot_tiles.add(raw)
+    tile = tuple(composed)
+    if tile not in memo.spot_tiles:
+        memo.spot_tiles.add(tile)
         columns = [direct.column(j) for j in range(c_hi)]
-        for R in r_values:
-            decided = _dim_values(spec.c_range) if R >= _periodic_rows(m) else pruned
-            if not decided:
-                continue
-            holds = _aop_holds_widths([col[:R] for col in columns], R, order)
-            for C in decided:
-                if holds[C - 1]:
-                    raise AssertionError(
-                        f"full check accepted pruned combination {(R, C)} "
-                        f"for vector {vector}"
-                    )
-        if raw != _phase_class(flat, m, order):
-            own = tuple(_tile_verdicts(_tile_columns(flat, m), m, order,
-                                       spec.r_range, spec.c_range))
-            if own != verdicts:
-                raise AssertionError(
-                    f"tile of vector {vector} has verdicts {own}, "
-                    f"its column-phase class {verdicts}"
-                )
+        found = _verdict_pass(columns, r_values, _dim_values(spec.c_range), order)
+        if found != list(verdicts):
+            # class verdicts hold no pruned cell, so only an accepted one is
+            R, C = cell = min(set(found) ^ set(verdicts))
+            pruned_cell = "pruned combination " if C > m or R >= _periodic_rows(m) else ""
+            raise AssertionError(
+                f"full check {'rejected' if cell in verdicts else 'accepted'} "
+                f"{pruned_cell}{cell} for vector {vector}, whose column-phase class "
+                f"has verdicts {verdicts}"
+            )
     for R, C in verdicts:
         if not check_aop(generate(fn, R, C)).holds:
             raise AssertionError(
@@ -1038,7 +1004,7 @@ def _check_orbit_sample(direct: list, expanded: list) -> None:
 
 
 def _hit_entries(
-    spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]], record: tuple
+    spec: SearchSpec, vectors: list[tuple[int, ...]], record: tuple
 ) -> list[dict]:
     """The report entries of one hit record (global index, payload): one
     per verdict for index-function sweeps, one otherwise."""
@@ -1049,7 +1015,7 @@ def _hit_entries(
     if spec.family == "raw-quaternion":
         return [{"symbols": [UNIT_SYMBOLS[u] for u in _digits(idx, 8, spec.length)],
                  "conventions": list(payload)}]
-    vector = _coeff_vector(spec, suffixes, idx)
+    vector = _coeff_vector(spec, vectors, idx)
     entries = [{"vector": list(vector), "rows": R, "cols": C, "divisor": C}
                for R, C in payload]
     if spec.family == "floored":
@@ -1093,9 +1059,9 @@ def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> di
 _worker_state: tuple = ()
 
 
-def _start_worker(spec: SearchSpec, suffixes: Optional[list[tuple[int, ...]]]) -> None:
+def _start_worker(spec: SearchSpec, vectors: list[tuple[int, ...]]) -> None:
     global _worker_state
-    _worker_state = (spec, _SweepMemo(spec, suffixes))
+    _worker_state = (spec, _SweepMemo(spec, vectors))
 
 
 def _run_block_in_worker(block: tuple[int, int]) -> dict:
@@ -1104,21 +1070,19 @@ def _run_block_in_worker(block: tuple[int, int]) -> dict:
 
 
 def _block_results(
-    spec: SearchSpec,
-    blocks: list[tuple[int, int]],
-    suffixes: Optional[list[tuple[int, ...]]],
+    spec: SearchSpec, blocks: list[tuple[int, int]], vectors: list[tuple[int, ...]]
 ):
     """Each block's result in block order, yielded as soon as it and every
     block before it are done."""
     if not blocks:
         return
     if spec.workers <= 1 or len(blocks) <= 1:
-        memo = _SweepMemo(spec, suffixes)
+        memo = _SweepMemo(spec, vectors)
         for b in blocks:
             yield _run_block(spec, b, memo)
         return
     with ProcessPoolExecutor(
-        max_workers=spec.workers, initializer=_start_worker, initargs=(spec, suffixes)
+        max_workers=spec.workers, initializer=_start_worker, initargs=(spec, vectors)
     ) as pool:
         yield from pool.map(_run_block_in_worker, blocks)
 
@@ -1129,19 +1093,19 @@ def run_search(spec: SearchSpec) -> SearchReport:
     `progress_every` > 0 the calling process prints one line per completed
     block to stderr: candidates so far, their rate and the time left."""
     t0 = time.monotonic()
-    suffix_count = _collapse_suffix_count(spec)
-    space_size = _index_space_size(spec, suffix_count)
+    space_size = _index_space_size(spec)
     total = space_size
-    if spec.family in ("poly", "floored"):
+    index_fn = spec.family in ("poly", "floored")
+    if index_fn:
         if spec.r_range[1] < spec.r_range[0] or spec.c_range[1] < spec.c_range[0]:
             total = 0
     if total > spec.budget:
         raise BudgetExceeded(total, spec.budget)
-    # an empty sweep runs no block, so it never enumerates its suffixes
-    suffixes = _collapse_suffixes(spec) if total else None
-    if suffixes is not None and len(suffixes) != suffix_count:
+    # an empty sweep runs no block, so it never enumerates its tails
+    vectors = _tail_vectors(spec) if index_fn and total else []
+    if vectors and len(vectors) != _tail_count(spec):
         raise AssertionError(
-            f"{len(suffixes)} collapse suffixes enumerated, {suffix_count} counted"
+            f"{len(vectors)} tails enumerated, {_tail_count(spec)} counted"
         )
     # raw-quaternion blocks cut the orbit representatives, one per 8 sequences,
     # into blocks large enough that numpy calls and the pool's round trip per
@@ -1166,7 +1130,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     audit_disagreements = 0
     covered = 0
     for number, (block, r) in enumerate(
-        zip(blocks, _block_results(spec, blocks, suffixes)), 1
+        zip(blocks, _block_results(spec, blocks, vectors)), 1
     ):
         records = r["hits"]
         # a block that starts past hit_limit held records cannot reach the
@@ -1199,7 +1163,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
             )
     _check_orbit_sample(sample_direct, sample_expanded)
     entries = itertools.chain.from_iterable(
-        _hit_entries(spec, suffixes, record) for record in heapq.merge(*held)
+        _hit_entries(spec, vectors, record) for record in heapq.merge(*held)
     )
     hits = list(itertools.islice(entries, spec.hit_limit))
     limit = spec.bound_limit

@@ -2,7 +2,6 @@
 differential tests of the two shared kernels against direct loops, and the
 two flattening identities used as acceptance harnesses."""
 
-import io
 import random
 import time
 
@@ -27,7 +26,6 @@ from aopseq.correlation import (
     projection_autocorrelate,
     projection_sum_check,
     projection_sum_check_all,
-    write_profile_csv,
 )
 from aopseq.cyclotomic import CyclotomicInt, root_table
 from aopseq.indexfn import frank_array, frank_sequence
@@ -413,20 +411,3 @@ def test_projection_autocorrelation_of_frank():
         profile = projection_autocorrelate(proj)
         assert profile.peak().equals(CyclotomicInt.integer(n, n * n))
         assert profile.is_perfect()
-
-
-def test_profile_csv_schema():
-    profile = autocorrelate(frank_sequence(2))
-    buf = io.StringIO()
-    write_profile_csv(profile, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "tau,re,im,exact_zero"
-    assert len(lines) == 1 + 4
-    first = lines[1].split(",")
-    assert float(first[1]) == 4.0 and float(first[2]) == 0.0
-    assert first[3] == "0"
-    assert lines[2].split(",")[3] == "1"
-
-    buf2 = io.StringIO()
-    write_profile_csv(autocorrelate_2d(frank_array(2)), buf2)
-    assert buf2.getvalue().splitlines()[0] == "v,h,re,im,exact_zero"

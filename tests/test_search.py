@@ -24,7 +24,6 @@ from aopseq import search
 from aopseq.search import (
     BudgetExceeded,
     SearchSpec,
-    _collapse_leading_tuples,
     _tile_verdicts,
     run_search,
 )
@@ -187,9 +186,9 @@ def test_collapse_restriction_subsets_full_sweep():
     assert restricted.hits_total <= full.hits_total
     # every restricted hit is flagged as collapsing
     assert all(h["collapse"] for h in restricted.hits)
-    # and the restriction enumerates exactly the A = 0 (mod n) suffixes
-    lead = _collapse_leading_tuples(4, 2, 3)
-    assert restricted.total_candidates == (4**6) * len(lead)
+    # and the restriction enumerates exactly the A = 0 (mod n) tails
+    tails = search._tail_vectors(SearchSpec(**base, restriction="collapse"))
+    assert restricted.total_candidates == (4**6) * len(tails)
 
 
 def test_floored_hits_report_base_square_flag():
@@ -443,7 +442,7 @@ def row_shift_one_survivors(start, stop, length, table, lookup=None):
 def lookup_mismatches(length):
     """The representatives in the ranges of `block_bounds` that the lookup
     and the row funnel's shift-1 sum disagree on, either convention."""
-    memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), None)
+    memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), [])
     bad = set()
     for convention, table in memo.quat_tables.items():
         for lo, hi in block_bounds(length):
@@ -468,7 +467,7 @@ def test_split_shift_one_matches_row_funnel(length):
     lookup returns, in ascending order, exactly the representatives whose
     row-funnel shift-1 sum vanishes, and the survivors of every shift equal
     the row funnel's from shift 1."""
-    memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), None)
+    memo = search._SweepMemo(SearchSpec(family="raw-quaternion", length=length), [])
     for lo, hi in block_bounds(length):
         reps = np.arange(lo, hi, dtype=np.int64)
         rows = search._quat_funnel(search._unit_digits(reps, length), memo.quat_tables)
@@ -553,20 +552,32 @@ def test_raw_quaternion_length_nine_report_unchanged():
 
 
 def test_collapse_suffixes_computed_once_per_sweep(monkeypatch):
+    """The parent enumerates the tail list once and hands it to every
+    process; no block or pool worker enumerates it again."""
     calls = []
-    real = search._collapse_leading_tuples
+    real = search._tail_vectors
 
-    def counting(m, n, width):
-        calls.append((m, n, width))
-        return real(m, n, width)
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
 
-    monkeypatch.setattr(search, "_collapse_leading_tuples", counting)
-    spec = SearchSpec(family="floored", n=1, k=3, deg_x=2, deg_y=2,
-                      r_range=(1, 1), c_range=(1, 1), restriction="collapse")
-    report = run_search(spec)
-    assert len(report.worker_chunks) > 1
-    assert report.total_candidates == 3**9
-    assert calls == [(3, 1, 3)]
+    monkeypatch.setattr(search, "_tail_vectors", counting)
+    for workers in (1, 2):
+        spec = SearchSpec(family="floored", n=1, k=3, deg_x=2, deg_y=2,
+                          r_range=(1, 1), c_range=(1, 1), restriction="collapse",
+                          workers=workers)
+        calls.clear()
+        report = run_search(spec)
+        assert len(report.worker_chunks) > 1
+        assert report.total_candidates == 3**9
+        assert calls == [spec]
+
+
+def vanishing_tails(m, n, width):
+    """Reference: the tails of `width` coefficients mod m whose polynomial
+    sum_b c_b j^b vanishes mod n at every j in [0, m), by plain evaluation."""
+    return [t for t in itertools.product(range(m), repeat=width)
+            if all(sum(c * j**b for b, c in enumerate(t)) % m % n == 0 for j in range(m))]
 
 
 @pytest.mark.parametrize("n,k,deg_y", [
@@ -574,11 +585,24 @@ def test_collapse_suffixes_computed_once_per_sweep(monkeypatch):
     (8, 1, 4), (12, 1, 3), (5, 1, 4),
 ])
 def test_collapse_suffix_count_matches_enumeration(n, k, deg_y):
-    spec = SearchSpec(family="floored", n=n, k=k, deg_x=2, deg_y=deg_y,
-                      restriction="collapse")
-    count = search._collapse_suffix_count(spec)
-    assert count == len(_collapse_leading_tuples(n * k, n, deg_y + 1))
-    assert count == len(search._collapse_suffixes(spec))
+    """`_tail_count` equals the length of `_tail_vectors` for collapse specs
+    with a quadratic row (against a plain enumeration too), collapse specs
+    with deg_x < 2 and unrestricted floored and poly specs, where every tail
+    of deg_y + 1 digits mod m is kept in lexicographic order."""
+    m = n * k
+    collapse = SearchSpec(family="floored", n=n, k=k, deg_x=2, deg_y=deg_y,
+                          restriction="collapse")
+    assert search._tail_vectors(collapse) == vanishing_tails(m, n, deg_y + 1)
+    assert search._tail_count(collapse) == len(search._tail_vectors(collapse))
+    every = list(itertools.product(range(m), repeat=deg_y + 1))
+    for spec in (
+        replace(collapse, deg_x=0),
+        replace(collapse, deg_x=1),
+        replace(collapse, restriction=""),
+        SearchSpec(family="poly", n=m, deg_x=2, deg_y=deg_y),
+    ):
+        assert search._tail_vectors(spec) == every
+        assert search._tail_count(spec) == len(every)
 
 
 def reference_index_sweep(spec):
@@ -591,10 +615,7 @@ def reference_index_sweep(spec):
     divisor = n if floored else 1
     tail_width = spec.deg_y + 1
     head_width = spec.vector_width - tail_width
-    suffixes = search._collapse_suffixes(spec)
-    tails = suffixes if suffixes is not None else list(
-        itertools.product(range(m), repeat=tail_width)
-    )
+    tails = search._tail_vectors(spec)
     monomials = [
         [pow(i, a, m) * pow(j, b, m) % m
          for a in range(spec.deg_x + 1) for b in range(spec.deg_y + 1)]
@@ -690,7 +711,7 @@ def test_hit_cap_across_blocks_is_independent_of_workers():
     assert len(uncapped.hits) == uncapped.hits_total
     spec = SearchSpec(**base)
     first = search._run_block(spec, (0, uncapped.worker_chunks[0]["stop"]),
-                              search._SweepMemo(spec, None))
+                              search._SweepMemo(spec, search._tail_vectors(spec)))
     per_block = first["hits_total"]
     assert 0 < per_block < uncapped.hits_total
     hits = uncapped.hits
@@ -748,11 +769,12 @@ def test_spot_check_calls_through_module_globals(monkeypatch, spec, calls):
 
 def test_composed_tile_disagreeing_with_direct_tile_raises(monkeypatch):
     """Index 0 is sampled; its composed tile is head tile 0 plus tail tile 0,
-    which is made wrong here, so the sampled composition check must refuse."""
+    which is made wrong here, so its direct array, whose top-left block is
+    the direct tile, must fail the periodic extension of the composed tile."""
     real = search._tail_tiles
 
-    def wrong_first_tail(spec, suffixes, mono):
-        tiles = real(spec, suffixes, mono)
+    def wrong_first_tail(spec, vectors, mono):
+        tiles = real(spec, vectors, mono)
         first = list(tiles[0])
         first[1] = (first[1] + spec.n) % spec.coeff_modulus  # one floored step
         return [tuple(first)] + tiles[1:]
@@ -906,6 +928,22 @@ def test_cut_row_accepted_by_the_full_check_raises(monkeypatch):
         run_search(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    SearchSpec(family="poly", n=3, deg_x=1, deg_y=1, r_range=(1, 4), c_range=(1, 4)),
+    SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1, r_range=(1, 6),
+               c_range=(1, 6)),
+], ids=["poly", "floored"])
+def test_dropped_class_verdict_raises(monkeypatch, spec):
+    """Negative control: class verdicts that miss a true verdict would only
+    lower the tallies.  The first sample of each tile decides every (R, C)
+    on its direct columns and must find exactly its class's verdicts, so
+    the sweep refuses them."""
+    real = search._tile_verdicts
+    monkeypatch.setattr(search, "_tile_verdicts", lambda *args: real(*args)[:-1])
+    with pytest.raises(AssertionError, match=r"full check accepted \(\d+, \d+\)"):
+        run_search(spec)
+
+
 def head_tile_group(spec):
     """Every head tile mod m, by closure: the subgroup of tiles generated by
     the monomial columns of the head coefficients."""
@@ -945,11 +983,11 @@ def test_shared_tails_are_the_tails_among_head_tiles(case):
     """The closed form (deg_x! q_s(j) = 0 mod m at every j) picks exactly the
     tails whose tile is a head tile, against the enumerated head tiles."""
     spec = SearchSpec(**case)
-    suffixes = search._collapse_suffixes(spec)
-    tails = search._tail_tiles(spec, suffixes, search._monomial_rows(spec))
+    vectors = search._tail_vectors(spec)
+    tails = search._tail_tiles(spec, vectors, search._monomial_rows(spec))
     heads = head_tile_group(spec)
     want = [s for s, tile in enumerate(tails) if tile in heads]
-    assert search._shared_tails(spec, suffixes) == want
+    assert search._shared_tails(spec, vectors) == want
 
 
 SHARED_SPEC = SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=1,
@@ -972,9 +1010,10 @@ def test_tail_outside_the_head_tiles_is_never_read(monkeypatch):
     plain = run_search(SHARED_SPEC)
     plain_calls = len(calls)
     real = search._shared_tails
-    outside = next(s for s in itertools.count() if s not in real(SHARED_SPEC, None))
+    shared = real(SHARED_SPEC, search._tail_vectors(SHARED_SPEC))
+    outside = next(s for s in itertools.count() if s not in shared)
     monkeypatch.setattr(search, "_shared_tails",
-                        lambda spec, suffixes: real(spec, suffixes) + [outside])
+                        lambda spec, vectors: real(spec, vectors) + [outside])
     calls.clear()
     assert run_search(SHARED_SPEC).canonical_json() == plain.canonical_json()
     assert len(calls) == plain_calls
@@ -984,8 +1023,8 @@ def test_wrong_shared_row_index_map_raises(monkeypatch):
     """A head tile h + tails[s] that read h's row without its index map
     would take the verdicts of h + tails[t] for h + tails[s] + tails[t];
     the sampled comparison with each index's own tile refuses it."""
-    def unshifted(spec, suffixes, shared):
-        return [list(range(len(search._tail_vectors(spec, suffixes))))] * len(shared)
+    def unshifted(spec, vectors, shared):
+        return [list(range(len(vectors)))] * len(shared)
 
     monkeypatch.setattr(search, "_tail_shifts", unshifted)
     with pytest.raises(AssertionError, match="through its head tile's shared row"):
@@ -1009,7 +1048,7 @@ def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
     monkeypatch.setattr(search, "_class_verdicts", counting)
     floored = SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=2,
                          r_range=(1, 8), c_range=(1, 8))
-    assert len(search._shared_tails(floored, None)) == 16
+    assert len(search._shared_tails(floored, search._tail_vectors(floored))) == 16
     floored_report = run_search(floored)
     assert floored_report.total_candidates == 262144
     assert len(floored_report.worker_chunks) == 64
@@ -1017,7 +1056,7 @@ def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
     calls.clear()
     poly = SearchSpec(family="poly", n=3, deg_x=2, deg_y=2,
                       r_range=(1, 9), c_range=(1, 9))
-    assert search._shared_tails(poly, None) == [0]
+    assert search._shared_tails(poly, search._tail_vectors(poly)) == [0]
     poly_report = run_search(poly)
     assert poly_report.total_candidates == 19683
     assert len(poly_report.worker_chunks) == 5
@@ -1171,8 +1210,7 @@ def test_shared_row_reports_unchanged_at_any_worker_count(case, digest):
     """Specs whose shared tails are more than the zero tail keep the reports
     they had when every head tile filled its own row, at 1, 2 and 4 workers."""
     spec = SearchSpec(**case)
-    suffixes = search._collapse_suffixes(spec)
-    assert len(search._shared_tails(spec, suffixes)) > 1
+    assert len(search._shared_tails(spec, search._tail_vectors(spec))) > 1
     for workers in (1, 2, 4):
         text = run_search(replace(spec, workers=workers)).canonical_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
