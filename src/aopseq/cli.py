@@ -85,6 +85,11 @@ MAX_ENTRIES = 2048
 # accepted, took 1.1-1.4 s and 64 MB peak RSS on a 2-vCPU host.
 MAX_SCATTER_TERMS = 300_000
 
+# Most worker processes `search --jobs` may ask for.  A sweep cuts at most
+# 256 blocks and starts one process per block at most, each a full copy of
+# the sweep's tables.
+MAX_JOBS = 64
+
 
 def _provenance_lines(command: str, parameters: dict) -> list[str]:
     rendered = " ".join(f"{k}={parameters[k]}" for k in sorted(parameters))
@@ -340,6 +345,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.jobs > MAX_JOBS:
+        raise CliInputError(f"--jobs {args.jobs} exceeds the cap of {MAX_JOBS}")
     try:
         spec = SearchSpec(
             family=args.family,
@@ -360,9 +367,9 @@ def cmd_search(args: argparse.Namespace) -> int:
             filter_residue=args.filter_residue,
             progress_every=args.progress_every,
         )
+        report = run_search(spec)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    report = run_search(spec)
     text = report.canonical_json()
     if args.out:
         Path(args.out).write_text(text)

@@ -84,20 +84,16 @@ merged records until it has `hit_limit` of them.
 One candidate in a hundred is re-checked the slow way.  First, the verdicts
 its head tile's shared row holds for it must be the verdicts of the class of
 its own composed tile, which filling that slot from a tile of the same class
-decided; this comparison adds no `spot_checks` units.  Then the array is
-regenerated directly from the index function (column by column, on
-unreduced i and j) and must equal the periodic extension of the composed
-tile at every cell, the one tile comparison: the array's top-left m x m
-block is the tile, and the rest covers every duplicate column.  The direct
-columns are then a function of the composed tile alone, so the first sample
-of each distinct tile per sweep and process runs one verdict pass: one
-`_aop_holds_widths` call per R in range over the first max C direct columns,
-collecting every (R, C) that holds.  That list must equal the class's
-verdicts exactly.  Class verdicts hold no pruned cell, so one comparison
-re-decides every pruned (R, C) with C > m or R >= 2m and checks the class's
-verdicts, quotient and cuts included, on the tile's own columns.  Every
-sample still counts its spot-check units and has each recorded hit
-re-decided by the public check.
+decided; this comparison adds no `spot_checks` units.  Then its direct array
+(p(i, j) mod m, floored for floored sweeps, from the exact integer p(i, j) on
+unreduced i and j, summed from per-sweep exact grids of each tail and
+last-head-row value and a per-prefix grid of the other head digits) must
+equal the periodic extension of the composed tile at every cell, the one
+tile comparison.  The first sample of each distinct tile per sweep and
+process runs one verdict pass per R in range over the first max C direct
+columns; the (R, C) that hold must be the class's verdicts exactly, which
+re-decides every pruned (R, C), C > m or R >= 2m.  Every sample counts its
+spot-check units, and each recorded hit's R x C block passes the public check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -153,12 +149,6 @@ from typing import Optional
 
 from .aop import _aop_holds_widths, check_aop, is_perfect_sequence
 from .cyclotomic import audit
-from .indexfn import (
-    FlooredIndex,
-    PolyIndex,
-    generate_floored_array,
-    generate_poly_array,
-)
 from .quaternion import (
     MUL, PAIR_PRODUCT, UNIT_SYMBOLS, VEC, QuaternionSequence, quat_is_perfect,
 )
@@ -175,6 +165,12 @@ __all__ = [
 FAMILIES = ("poly", "floored", "raw-phase", "raw-quaternion")
 
 SPOT_SAMPLE_STRIDE = 100  # 1 in 100 candidates re-verified the slow way
+
+# Most entries an index-function sweep's per-process tables may hold
+# (`_table_entries`); past it a sweep is refused before any table is built.
+# Criterion 12 (poly n=5 deg 2, R, C <= 25) needs 1.6e5; poly n=6 deg 2,
+# R, C <= 36 needs 5.8e5 and builds them in 0.5 s on a 2-vCPU host.
+MAX_TABLE_ENTRIES = 10**6
 
 
 class BudgetExceeded(RuntimeError):
@@ -463,6 +459,22 @@ def _upper_width(spec: SearchSpec) -> int:
     return max(spec.vector_width - 2 * (spec.deg_y + 1), 0)
 
 
+def _sample_shape(spec: SearchSpec) -> tuple[int, int]:
+    """(R', C'), the shape of a sampled candidate's direct array."""
+    m = spec.coeff_modulus
+    return max(spec.r_range[1], m), max(spec.c_range[1], m + 1)
+
+
+def _table_entries(spec: SearchSpec) -> int:
+    """The entries an index-function sweep's per-process tables hold: one
+    m x m tile and one exact R' x C' grid per tail and per last-head-row
+    value."""
+    m = spec.coeff_modulus
+    rows, cols = _sample_shape(spec)
+    last_values = m ** (spec.vector_width - spec.deg_y - 1 - _upper_width(spec))
+    return (_tail_count(spec) + last_values) * (m * m + rows * cols)
+
+
 Verdicts = tuple[tuple[int, int], ...]
 
 
@@ -476,9 +488,11 @@ class _SweepMemo:
     class; per row key, a verdict row and the index map through which it
     reads that row (rows fill on demand and are shared by the head tiles
     that differ by column constants or a shared tail); and the tiles a
-    spot check has already re-decided.  For a raw-quaternion sweep: the
-    packed pair table of each convention and, past length 1, its shift-1
-    lookup tables."""
+    spot check has already re-decided; per cell (i, j) of the R' x C' direct
+    array, row-major and unreduced, the exact i^a j^b (its own loop), each
+    tail's and last-head-row value's exact p(i, j) and the tile cell
+    (i mod m, j mod m).  For a raw-quaternion sweep: the packed pair table
+    of each convention and, past length 1, its shift-1 lookup tables."""
 
     def __init__(self, spec: SearchSpec, vectors: list[tuple[int, ...]]) -> None:
         self.vectors = vectors
@@ -494,10 +508,19 @@ class _SweepMemo:
             self.tails = _tail_tiles(spec, vectors, self.mono)
             head_width = spec.vector_width - spec.deg_y - 1
             upper_width = _upper_width(spec)
+            last_values = list(itertools.product(range(m), repeat=head_width - upper_width))
             self.last_head_tiles = _row_tiles(
-                itertools.product(range(m), repeat=head_width - upper_width),
-                self.mono, slice(upper_width, head_width), m,
+                last_values, self.mono, slice(upper_width, head_width), m
             )
+            rows, self.width = _sample_shape(spec)
+            powers = [(a, b) for a in range(spec.deg_x + 1) for b in range(spec.deg_y + 1)]
+            self.exact = [[i**a * j**b for a, b in powers]
+                          for i in range(rows) for j in range(self.width)]
+            self.exact_last = [[sum(c * v for c, v in zip(d, cell[upper_width:]))
+                                for cell in self.exact] for d in last_values]
+            self.exact_tails = [[sum(c * v for c, v in zip(d, cell[head_width:]))
+                                 for cell in self.exact] for d in vectors]
+            self.tile_cells = [i % m * m + j % m for i in range(rows) for j in range(self.width)]
             by_tile = {}
             for s in _shared_tails(spec, vectors):
                 by_tile.setdefault(self.tails[s], s)
@@ -592,50 +615,37 @@ def _class_verdicts(spec: SearchSpec, memo: _SweepMemo, flat: list[int]) -> Verd
 
 def _spot_check(
     spec: SearchSpec, memo: _SweepMemo, idx: int, composed: list[int],
-    verdicts: Verdicts,
+    direct: list[int], verdicts: Verdicts,
 ) -> int:
     """Slow-path cross-check for sampled candidate `idx`.
 
-    The array regenerated straight from the index function must equal, at
-    every cell, the periodic extension of the composed tile, whose row i % m
-    repeated and cut to the array's width gives row i; its top-left m x m
-    block is the tile itself, so the direct columns are a function of the
-    composed tile alone.  The first sample of each distinct tile in a sweep
-    and process then runs one verdict pass per R over its first max C direct
-    columns, for every (R, C) in range, which must give exactly its class's
+    `direct` is its R' x C' array, row-major, entry (p(i, j) mod m) //
+    divisor of the exact p(i, j) on unreduced i and j.  It must equal at
+    every cell the periodic extension of the composed tile (cell (i, j) is
+    tile cell (i mod m, j mod m)); its top-left m x m block is the tile, so
+    the direct columns are a function of the tile alone.  The first sample
+    of each distinct tile per sweep and process runs one verdict pass per R
+    over its first max C direct columns, which must give exactly the class's
     verdicts: that re-decides every pruned (R, C), C > m or R >= 2m, and
     checks the class's verdicts on the tile's own columns.  Every recorded
-    hit must pass the public check.  Returns the number of verification units
-    (tile confirmation plus each column prune the sample's tile has
-    re-examined), the same for every sample; raises on any mismatch.
+    hit's top-left R x C block must pass the public check.  Returns the
+    verification units (tile confirmation plus each column prune the tile
+    has re-examined), the same for every sample; raises on any mismatch.
     """
     m = spec.coeff_modulus
     order = spec.alphabet_order
-    vector = _coeff_vector(spec, memo.vectors, idx)
-    fn = PolyIndex.from_coeff_vector(m, spec.deg_x, spec.deg_y, vector)
-    generate = generate_poly_array
-    if spec.family == "floored":
-        fn, generate = FlooredIndex(fn, spec.n, spec.k), generate_floored_array
-    c_hi = spec.c_range[1]
-    direct = generate(fn, max(spec.r_range[1], m), max(c_hi, m + 1))
-    rows, cols = direct.rows, direct.cols
-    reps = -(-cols // m)
-    extended = [(composed[i * m : (i + 1) * m] * reps)[:cols] for i in range(m)]
-    if direct.exponents != tuple(
-        itertools.chain.from_iterable(extended[i % m] for i in range(rows))
-    ):
-        cell = next((i, j) for i in range(rows) for j in range(cols)
-                    if direct.entry(i, j) != extended[i % m][j])
-        raise AssertionError(
-            f"direct array differs from the periodic extension of its tile "
-            f"at {cell} for vector {vector}, composed tile {composed}"
-        )
-    pruned = range(max(spec.c_range[0], m + 1), c_hi + 1)
+    width = memo.width
+    extended = [composed[c] for c in memo.tile_cells]
+    if direct != extended:
+        cell = divmod([d == e for d, e in zip(direct, extended)].index(False), width)
+        raise AssertionError(f"direct array differs from the periodic extension of its "
+                             f"tile at {cell} for vector {_coeff_vector(spec, memo.vectors, idx)}"
+                             f", composed tile {composed}")
     r_values = _dim_values(spec.r_range)
     tile = tuple(composed)
     if tile not in memo.spot_tiles:
         memo.spot_tiles.add(tile)
-        columns = [direct.column(j) for j in range(c_hi)]
+        columns = [tuple(direct[j::width]) for j in range(spec.c_range[1])]
         found = _verdict_pass(columns, r_values, _dim_values(spec.c_range), order)
         if found != list(verdicts):
             # class verdicts hold no pruned cell, so only an accepted one is
@@ -643,15 +653,15 @@ def _spot_check(
             pruned_cell = "pruned combination " if C > m or R >= _periodic_rows(m) else ""
             raise AssertionError(
                 f"full check {'rejected' if cell in verdicts else 'accepted'} "
-                f"{pruned_cell}{cell} for vector {vector}, whose column-phase class "
-                f"has verdicts {verdicts}"
+                f"{pruned_cell}{cell} for vector {_coeff_vector(spec, memo.vectors, idx)}, "
+                f"whose column-phase class has verdicts {verdicts}"
             )
     for R, C in verdicts:
-        if not check_aop(generate(fn, R, C)).holds:
-            raise AssertionError(
-                f"recorded hit {(R, C)} fails the public check for vector {vector}"
-            )
-    return 1 + len(pruned) * len(r_values)
+        block = [v for i in range(0, R * width, width) for v in direct[i : i + C]]
+        if not check_aop(PhaseArray(order, R, C, block)).holds:
+            raise AssertionError(f"recorded hit {(R, C)} fails the public check for "
+                                 f"vector {_coeff_vector(spec, memo.vectors, idx)}")
+    return 1 + len(range(max(spec.c_range[0], m + 1), spec.c_range[1] + 1)) * len(r_values)
 
 
 def _index_function_block(
@@ -691,6 +701,7 @@ def _index_function_block(
             digits = _digits(upper, m, upper_width)
             upper_tile = [sum(c * r for c, r in zip(digits, row) if c)
                           for row in upper_mono]
+            upper_exact = None
         head_tile = tuple([(u + v) % m for u, v in zip(upper_tile, last_tiles[last])])
         key = _row_key(head_tile, m, divisor)
         entry = memo.rows.get(key)
@@ -734,7 +745,11 @@ def _index_function_block(
                         f"index {idx} reads verdicts {verdicts} through its head "
                         f"tile's shared row, its own tile's class has {own}"
                     )
-                spot_checks += _spot_check(spec, memo, idx, composed, verdicts)
+                if upper_exact is None:
+                    upper_exact = [sum(c * v for c, v in zip(digits, x)) for x in memo.exact]
+                direct = [(u + v + w) % m // divisor for u, v, w in
+                          zip(upper_exact, memo.exact_last[last], memo.exact_tails[t])]
+                spot_checks += _spot_check(spec, memo, idx, composed, direct, verdicts)
     hits_total = 0
     histogram: dict[str, int] = {}
     max_len = 0
@@ -1081,15 +1096,17 @@ def _block_results(
         for b in blocks:
             yield _run_block(spec, b, memo)
         return
-    with ProcessPoolExecutor(
-        max_workers=spec.workers, initializer=_start_worker, initargs=(spec, vectors)
-    ) as pool:
+    # under fork the pool starts all its processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(spec.workers, len(blocks)),
+                             initializer=_start_worker, initargs=(spec, vectors)) as pool:
         yield from pool.map(_run_block_in_worker, blocks)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
     """Execute a sweep.  Raises BudgetExceeded (with the exact count) before
-    doing any work if the candidate space is larger than the budget.  With
+    doing any work if the candidate space is larger than the budget, and
+    ValueError if an index-function sweep's tables would hold more than
+    MAX_TABLE_ENTRIES entries.  With
     `progress_every` > 0 the calling process prints one line per completed
     block to stderr: candidates so far, their rate and the time left."""
     t0 = time.monotonic()
@@ -1101,6 +1118,9 @@ def run_search(spec: SearchSpec) -> SearchReport:
             total = 0
     if total > spec.budget:
         raise BudgetExceeded(total, spec.budget)
+    if index_fn and total and _table_entries(spec) > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the sweep's tables would hold {_table_entries(spec)} entries, "
+                         f"past the cap of {MAX_TABLE_ENTRIES}")
     # an empty sweep runs no block, so it never enumerates its tails
     vectors = _tail_vectors(spec) if index_fn and total else []
     if vectors and len(vectors) != _tail_count(spec):

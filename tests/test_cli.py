@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aopseq import cli
+from aopseq import cli, search
 from aopseq.cyclotomic import ConcordanceAudit
 from aopseq.indexfn import frank_array
 from aopseq.quaternion import QuaternionSequence
@@ -247,6 +247,36 @@ def test_empty_collapse_sweep_reports_its_space_quickly(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["total_candidates"] == 0
     assert report["space_size"] == collapse_space_n3_k4(6)
+
+
+def test_oversized_sweep_tables_exit_two_before_any_table(monkeypatch, capsys):
+    """poly n=1500 deg 0 sweeps only 1,500 candidates, but its tables would
+    hold (tails + last-row values) x (m^2 + R' x C') entries; the count is
+    closed-form, so the refusal comes before any table is built."""
+    def unreachable(*args):
+        raise AssertionError("sweep tables were built")
+
+    monkeypatch.setattr(search, "_SweepMemo", unreachable)
+    t0 = time.monotonic()
+    code = cli.main(["search", "--family", "poly", "--n", "1500", "--deg-x", "0",
+                     "--deg-y", "0"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert time.monotonic() - t0 < 1.0
+    entries = 1501 * (1500**2 + 1500 * 1501)
+    assert f"would hold {entries} entries" in capsys.readouterr().err
+
+
+def test_search_jobs_past_the_cap_exit_two_before_the_sweep(monkeypatch, capsys):
+    """No worker process is asked for past MAX_JOBS; at the cap the sweep is
+    reached (here a stand-in that fails with exit 3)."""
+    def unreachable(spec):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(cli, "run_search", unreachable)
+    argv = ["search", "--family", "poly", "--n", "2", "--jobs"]
+    assert cli.main(argv + [str(cli.MAX_JOBS + 1)]) == cli.EXIT_INPUT_ERROR
+    assert f"exceeds the cap of {cli.MAX_JOBS}" in capsys.readouterr().err
+    assert cli.main(argv + [str(cli.MAX_JOBS)]) == cli.EXIT_INVARIANT_VIOLATION
 
 
 def test_search_cli_bound_violation_exits_three(tmp_path, monkeypatch, capsys):

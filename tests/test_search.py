@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from aopseq.aop import _aop_holds_widths, check_aop
 from aopseq.correlation import diff_counts
 from aopseq.cyclotomic import counts_is_zero
-from aopseq.indexfn import PolyIndex, generate_poly_array
+from aopseq.indexfn import (
+    FlooredIndex, PolyIndex, generate_floored_array, generate_poly_array,
+)
 from aopseq.quaternion import UNIT_SYMBOLS, QuaternionSequence, quat_is_perfect
-from aopseq import search
+from aopseq import indexfn, search
 from aopseq.search import (
     BudgetExceeded,
     SearchSpec,
@@ -747,21 +749,24 @@ def test_raw_phase_hit_cap_across_blocks():
 
 @pytest.mark.parametrize("spec,calls", [
     (SearchSpec(family="poly", n=2, deg_x=2, deg_y=2, r_range=(1, 4), c_range=(1, 4)),
-     {"generate_poly_array": 16, "check_aop": 10}),
+     {"check_aop": 10}),
     (SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1, r_range=(1, 4),
                 c_range=(1, 6)),
-     {"generate_floored_array": 6, "check_aop": 3}),
+     {"check_aop": 3}),
 ], ids=["poly", "floored"])
 def test_spot_check_calls_through_module_globals(monkeypatch, spec, calls):
-    """Each sampled candidate generates its direct array once and once more
-    per recorded hit, which `check_aop` then decides, all through the names
-    in `aopseq.search` so that wrappers installed there see every call."""
-    seen = dict.fromkeys(("generate_poly_array", "generate_floored_array", "check_aop"), 0)
+    """Each recorded hit of a sampled candidate is decided by `check_aop`,
+    through the name in `aopseq.search` so that wrappers installed there see
+    every call.  Sampled arrays come from the sweep's exact grids, so no
+    index-function generator runs."""
+    seen = dict.fromkeys(("generate_poly_array", "generate_floored_array", "_exponents",
+                          "check_aop"), 0)
     for name in seen:
-        def counting(*args, _real=getattr(search, name), _name=name):
+        module = search if name == "check_aop" else indexfn
+        def counting(*args, _real=getattr(module, name), _name=name):
             seen[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(search, name, counting)
+        monkeypatch.setattr(module, name, counting)
     report = run_search(spec)
     assert report.spot_checks > 0
     assert seen == {**dict.fromkeys(seen, 0), **calls}
@@ -783,6 +788,53 @@ def test_composed_tile_disagreeing_with_direct_tile_raises(monkeypatch):
     with pytest.raises(AssertionError, match="composed tile"):
         run_search(SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1,
                               r_range=(1, 2), c_range=(1, 2)))
+
+
+@pytest.mark.parametrize("workers", [3, 10**5])
+def test_pool_starts_at_most_one_process_per_block(monkeypatch, workers):
+    """Under fork a pool starts every process it may use at the first
+    submit, so `_block_results` asks for no more than there are blocks.  The
+    pool here records the count asked for and runs every block inline."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "_worker_state", ())
+    spec = SearchSpec(family="floored", n=2, k=2, deg_x=3, deg_y=1, r_range=(2, 3),
+                      c_range=(2, 3), workers=workers)
+    report = run_search(spec)
+    blocks = len(report.worker_chunks)
+    assert blocks == 16
+    assert started == [min(workers, blocks)]
+    assert report.canonical_json() == run_search(replace(spec, workers=1)).canonical_json()
+
+
+def test_table_entries_count_the_built_tables():
+    """The closed-form table count that the cap reads is the size of the
+    tables a sweep builds, and criterion 12's sweep passes the cap."""
+    for spec in (SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=1,
+                            r_range=(1, 6), c_range=(1, 3), restriction="collapse"),
+                 SearchSpec(family="poly", n=3, deg_x=0, deg_y=2, r_range=(1, 2))):
+        memo = search._SweepMemo(spec, search._tail_vectors(spec))
+        tables = (memo.tails, memo.last_head_tiles, memo.exact_tails, memo.exact_last)
+        assert search._table_entries(spec) == sum(len(t) for table in tables for t in table)
+    big = SearchSpec(family="poly", n=5, r_range=(1, 25), c_range=(1, 25))
+    assert search._table_entries(big) == 250 * (25 + 25 * 25) <= search.MAX_TABLE_ENTRIES
+    with pytest.raises(ValueError, match="past the cap of"):
+        run_search(replace(big, n=7, r_range=(1, 49), c_range=(1, 49)))
 
 
 def test_index_sweeps_do_not_import_numpy():
@@ -847,23 +899,101 @@ FLOORED_SPOT = SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1,
                           r_range=(1, 6), c_range=(1, 6))
 
 
+def wrong_grid_memo(grids, cell):
+    """A `_SweepMemo` whose every exact grid in the list named `grids`
+    ("exact_tails" or "exact_last") is one floored step (n) off at `cell`."""
+    class WrongGrid(search._SweepMemo):
+        def __init__(self, spec, vectors):
+            super().__init__(spec, vectors)
+            for grid in getattr(self, grids):
+                grid[cell[0] * self.width + cell[1]] += spec.n
+
+    return WrongGrid
+
+
 def test_direct_array_off_its_tile_extension_raises(monkeypatch):
     """Cell (m, 1) lies outside the top-left tile and outside column m; a
     direct array changed there must still fail the periodic-extension check."""
-    real = search.generate_floored_array
-
-    def changed_below_the_tile(f, rows, cols):
-        array = real(f, rows, cols)
-        m = f.poly.modulus
-        if rows <= m or cols < 2:
-            return array
-        exps = list(array.exponents)
-        exps[m * cols + 1] += 1
-        return replace(array, exponents=tuple(exps))
-
-    monkeypatch.setattr(search, "generate_floored_array", changed_below_the_tile)
-    with pytest.raises(AssertionError, match="periodic extension of its tile at"):
+    m = FLOORED_SPOT.coeff_modulus
+    monkeypatch.setattr(search, "_SweepMemo", wrong_grid_memo("exact_last", (m, 1)))
+    with pytest.raises(AssertionError, match="periodic extension of its tile at") as exc:
         run_search(FLOORED_SPOT)
+    assert f"tile at {(m, 1)} for vector" in str(exc.value)
+
+
+def test_wrong_exact_tail_grid_raises(monkeypatch):
+    """Control on the other grid: every exact tail grid one floored step off
+    at (1, 1), inside the tile, fails the first sample (index 0)."""
+    monkeypatch.setattr(search, "_SweepMemo", wrong_grid_memo("exact_tails", (1, 1)))
+    with pytest.raises(AssertionError, match="periodic extension of its tile at") as exc:
+        run_search(FLOORED_SPOT)
+    assert "tile at (1, 1) for vector [0, 0, 0, 0]" in str(exc.value)
+
+
+GRID_CASES = [
+    dict(family=family, n=n, k=k, deg_x=deg_x, deg_y=deg_y, r_range=(1, 6), c_range=(1, 5))
+    for family, n, k in (("poly", 4, 0), ("floored", 2, 2))
+    for deg_x, deg_y in ((0, 4), (1, 2), (2, 1), (3, 1))
+] + [
+    dict(family="poly", n=2, deg_x=2, deg_y=2, r_range=(1, 5), c_range=(1, 4)),
+    dict(family="floored", n=2, k=2, deg_x=2, deg_y=2, r_range=(1, 6), c_range=(1, 6),
+         restriction="collapse", filter_mod=3, filter_residue=1),
+    dict(family="floored", n=2, k=2, deg_x=2, deg_y=1, r_range=(1, 4), c_range=(1, 5),
+         symmetry="phase-shift"),
+    dict(family="poly", n=3, deg_x=2, deg_y=2, r_range=(1, 4), c_range=(1, 4),
+         symmetry="phase-shift", filter_mod=3, filter_residue=2),
+    # r_hi, c_hi < m: the direct array is still m x (m + 1)
+    dict(family="poly", n=5, deg_x=1, deg_y=1, r_range=(1, 3), c_range=(1, 2)),
+    dict(family="floored", n=2, k=3, deg_x=1, deg_y=1, r_range=(2, 4), c_range=(1, 3)),
+]
+
+
+@pytest.mark.parametrize("case", GRID_CASES,
+                         ids=lambda c: "-".join(f"{v}" for v in c.values()))
+def test_sampled_grids_match_the_generators(monkeypatch, case):
+    """Differential: every sample's direct array from the exact grids equals
+    the index function's generated R' x C' array, and every array a recorded
+    hit hands to `check_aop` equals the generated R x C one."""
+    spec = SearchSpec(**case, hit_limit=10**6)
+    m = spec.coeff_modulus
+    tails = search._tail_vectors(spec)
+    head_width = spec.vector_width - spec.deg_y - 1
+    real_spot, real_check = search._spot_check, search.check_aop
+    sampled, arrays, hit_arrays = [], [], []
+
+    def spot(spec_, memo, idx, composed, direct, verdicts):
+        head, tail = divmod(idx, len(tails))
+        vector = search._digits(head, m, head_width) + list(tails[tail])
+        fn = PolyIndex.from_coeff_vector(m, spec.deg_x, spec.deg_y, vector)
+        generate = generate_poly_array
+        if spec.family == "floored":
+            fn, generate = FlooredIndex(fn, spec.n, spec.k), generate_floored_array
+        shape = (max(spec.r_range[1], m), max(spec.c_range[1], m + 1))
+        assert direct == list(generate(fn, *shape).exponents), (idx, vector)
+        arrays.clear()
+        units = real_spot(spec_, memo, idx, composed, direct, verdicts)
+        assert arrays == [generate(fn, R, C) for R, C in verdicts], (idx, vector)
+        sampled.append((idx, vector))
+        hit_arrays.extend(arrays)
+        return units
+
+    def check(array):
+        arrays.append(array)
+        return real_check(array)
+
+    monkeypatch.setattr(search, "_spot_check", spot)
+    monkeypatch.setattr(search, "check_aop", check)
+    report = run_search(spec)
+    divisor = spec.n if spec.family == "floored" else 1
+    want = [
+        idx for idx in range(0, m**head_width * len(tails), search.SPOT_SAMPLE_STRIDE)
+        if idx % spec.filter_mod == spec.filter_residue
+        and not (spec.symmetry and (search._digits(idx // len(tails), m, head_width)
+                                    or [0])[0] >= divisor)
+    ]
+    assert [idx for idx, _ in sampled] == want
+    assert len(want) > 1
+    assert hit_arrays and report.spot_checks > 0
 
 
 def test_pruned_width_accepted_by_the_full_check_raises(monkeypatch):
@@ -876,24 +1006,30 @@ def test_pruned_width_accepted_by_the_full_check_raises(monkeypatch):
 
 
 def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
-    """Every sample counts its spot units and regenerates its array, but the
-    pruned (R, C) are re-decided only for the first sample of each distinct
-    raw tile: one pass per R over c_hi = 6 > m = 4 direct columns, while
-    class verdict passes see at most m columns."""
+    """Every sample counts its spot units and builds its direct array, but
+    the pruned (R, C) are re-decided only for the first sample of each
+    distinct raw tile: one pass per R over c_hi = 6 > m = 4 direct columns,
+    while class verdict passes see at most m columns."""
     spec = SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=2,
                       r_range=(1, 6), c_range=(1, 6))
-    counts = {"generate": 0, "spot_passes": 0}
-    real_generate, real_widths = search.generate_floored_array, search._aop_holds_widths
+    counts = {"samples": 0, "hit_checks": 0, "spot_passes": 0}
+    real_spot, real_check = search._spot_check, search.check_aop
+    real_widths = search._aop_holds_widths
 
-    def generate(*args):
-        counts["generate"] += 1
-        return real_generate(*args)
+    def spot(*args):
+        counts["samples"] += 1
+        return real_spot(*args)
+
+    def check(array):
+        counts["hit_checks"] += 1
+        return real_check(array)
 
     def widths(cols, rows, order):
         counts["spot_passes"] += len(cols) == 6
         return real_widths(cols, rows, order)
 
-    monkeypatch.setattr(search, "generate_floored_array", generate)
+    monkeypatch.setattr(search, "_spot_check", spot)
+    monkeypatch.setattr(search, "check_aop", check)
     monkeypatch.setattr(search, "_aop_holds_widths", widths)
     report = run_search(spec)
     m = spec.coeff_modulus
@@ -906,7 +1042,9 @@ def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
     }
     assert report.total_candidates == 4096
     assert report.spot_checks == 533
-    assert counts["generate"] == 103
+    # one direct array per sample and one R x C block per recorded hit
+    assert counts["samples"] == len(samples) == 41
+    assert counts["samples"] + counts["hit_checks"] == 103
     assert len(raw_tiles) < len(samples)
     assert counts["spot_passes"] == 6 * len(raw_tiles)
 
