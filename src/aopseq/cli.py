@@ -377,7 +377,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     print(
         f"searched {report.total_candidates} candidates in "
-        f"{report.wall_time_s:.2f}s with {spec.workers} worker(s)",
+        f"{report.wall_time_s:.2f}s with "
+        f"{min(spec.workers, len(report.worker_chunks))} worker(s)",
         file=sys.stderr,
     )
     status = EXIT_OK

@@ -46,18 +46,20 @@ on this ordering; this package states the convention once and sticks to it.
 
 Each flattening identity is written once as a single-shift helper
 (`_decomposition_holds`, `_projection_sum_holds`), which the public
-single-shift checks call.  The `_all` forms build the flattening, the
-columns and the projection once per array.  They then either call the
-helper at every shift or take each side for all shifts from the packed
-kernel; the projection's ring-product side is one packed product of its
-coefficient lanes.  The two sides of each identity stay independent
-computations.  `_ring_equal` compares the two sides as count vectors
-first: both sides expand to the same multiset of terms w^(u - v), one per
-pair of entries (each identity is a bijection of terms), so their counts
-are equal whenever both sides are computed right.  The zero test of the
-difference runs only when the counts differ (or under the concordance
-audit, which cross-checks every zero test), and equal counts are equal
-ring elements, so the verdict is the one the zero test alone would give.
+single-shift checks call.  `decomposition_check_all` reads its two sides
+from the shape helpers, shift by shift: the flattening's autocorrelation
+from `_sequence_shifts`, the column side from the carry form of
+`_array_shifts`.  `projection_sum_check_all` builds its inputs once and
+either calls its helper at every shift or packs both sides itself: the
+projection's coefficient lanes, and the summed column packings.  The two
+sides of each identity stay independent computations.  `_ring_equal`
+compares the two sides as count vectors first: both sides expand to the
+same multiset of terms w^(u - v), one per pair of entries (each identity
+is a bijection of terms), so their counts are equal whenever both sides
+are computed right.  The zero test of the difference runs only when the
+counts differ (or under the concordance audit, which cross-checks every
+zero test), and equal counts are equal ring elements, so the verdict is
+the one the zero test alone would give.
 
 The direct O(L^2) accumulation is the reference path for every verdict.
 """
@@ -220,19 +222,17 @@ def _shift_counts(product: int, length: int, order: int, lane: int) -> list[tupl
 #   order 64  0.25  0.23  0.28  0.37  0.16
 # Most misroutes are arrays of 8 entries or fewer, where the packed path's
 # fixed overhead outweighs its products and a call takes tens of
-# microseconds (up to 2.3x slower packed).  Above that, the decomposition
-# check at orders 15-24 is up to 1.4x slower packed (2.2x on 3x7 at 24).
+# microseconds (up to 2.3x slower packed).  The decomposition check reads
+# the sequence and array helpers; on 12 orders (2-64) x 11 shapes (1x2 to
+# 12x12) only its 1x2 arrays misroute, up to 1.25x slower packed.
 _TERM_COST = 110
 _KARATSUBA = math.log2(3)
 
 
-def _packed_pays(terms: int, order: int, lane: int, *products: tuple[int, int]) -> bool:
-    """Whether `terms` steps of the per-shift loop cost more than the packed
-    products, given as (count, factor length) pairs."""
-    lane_row = 2 * order * lane
-    return terms * _TERM_COST > sum(
-        count * (lane_row * length) ** _KARATSUBA for count, length in products
-    )
+def _packed_pays(terms: int, order: int, lane: int, length: int) -> bool:
+    """Whether `terms` steps of the per-shift loop cost more than one packed
+    product of two length-`length` factors."""
+    return terms * _TERM_COST > (2 * order * lane * length) ** _KARATSUBA
 
 
 def _unit_terms(values) -> list[list[tuple[int, int]]]:
@@ -279,30 +279,37 @@ def _sequence_shifts(u, v, order: int, start: int = 0):
     """sum_i w^(u_i - v_{i+tau}) for tau = start..L-1."""
     L = len(u)
     lane = _lane_bytes(L)
-    if _packed_pays(L * L, order, lane, (1, L)):
+    if _packed_pays(L * L, order, lane, L):
         packed = _pack(u, order, lane, True) * _pack(v, order, lane, False)
         return _shift_counts(packed, L, order, lane)[start:]
     return (diff_counts(((u, v, tau),), order) for tau in range(start, L))
 
 
-def _array_shift_terms(array: PhaseArray, start: int = 0):
+def _array_shift_terms(array: PhaseArray, start: int = 0, carry: bool = False):
     """Yield the `diff_counts` terms of the 2D autocorrelation at each shift
     pair (v, h), in row-major order from flat index `start`.
 
     With the columns laid end to end (column-major), column j meets column
     j+h shifted down by v exactly when the whole run meets the run of
     down-shifted columns rotated by h*R, so each shift pair is one term.
+    With `carry`, the last h columns, whose partners wrap past column C-1,
+    meet the columns shifted one row further down.
     """
     R, C = array.rows, array.cols
     cols = array.columns()
     run = tuple(chain.from_iterable(cols))
+
+    def down(v: int) -> tuple:
+        return tuple(chain.from_iterable(col[v % R :] + col[: v % R] for col in cols))
+
     for v in range(start // C, R):
-        down = tuple(chain.from_iterable(col[v:] + col[:v] for col in cols))
+        here = down(v)
+        wrap = down(v + 1) if carry else here
         for h in range(max(start - v * C, 0), C):
-            yield ((run, down, h * R),)
+            yield ((run, here[h * R :] + wrap[: h * R], 0),)
 
 
-def _array_shifts(array: PhaseArray, start: int = 0):
+def _array_shifts(array: PhaseArray, start: int = 0, carry: bool = False):
     """The 2D autocorrelation at flat shifts start..R*C-1, row-major by (v, h).
 
     Packed, the array is one sequence of R rows of width W = 2C - 1: on the
@@ -312,15 +319,21 @@ def _array_shifts(array: PhaseArray, start: int = 0):
     the positions mod R*W puts shift (v, h) at position v*W + h.  Every
     other pair lands at a distance in [C, 2C - 2] mod W, and each position
     still sums R*C pairs, so lanes sized for R*C terms never overflow.
+
+    With `carry`, each right row is followed by the next row's first C - 1
+    entries instead (row 0's after the last), so (i, j) meets
+    (i + v + (j + h)//C, (j + h) mod C): the decomposition identity's
+    column side at (q', r') = (v, h).
     """
     n, R, C = array.order, array.rows, array.cols
     L, W = R * C, 2 * C - 1
     lane = _lane_bytes(L)
-    if not _packed_pays(L * L, n, lane, (1, R * W)):
-        return (diff_counts(terms, n) for terms in _array_shift_terms(array, start))
+    if not _packed_pays(L * L, n, lane, R * W):
+        return (diff_counts(terms, n) for terms in _array_shift_terms(array, start, carry))
     rows = [array.row(i) for i in range(R)]
+    after = rows[1:] + rows[:1] if carry else rows
     left = tuple(chain.from_iterable(row + (None,) * (C - 1) for row in rows))
-    right = tuple(chain.from_iterable(row + row[:-1] for row in rows))
+    right = tuple(chain.from_iterable(row + nxt[:-1] for row, nxt in zip(rows, after)))
     packed = _pack(left, n, lane, True) * _pack(right, n, lane, False)
     counts = _shift_counts(packed, R * W, n, lane)
     return [counts[v * W + h] for v in range(R) for h in range(C)][start:]
@@ -341,7 +354,7 @@ def _value_shifts(values, order: int, start: int = 0):
         if bound < 1 << 64:
             lane = _lane_bytes(bound)
             pairs = sum(map(len, terms)) ** 2
-            if _packed_pays(pairs, order, lane, (1, len(values))):
+            if _packed_pays(pairs, order, lane, len(values)):
                 return _value_products([v.coeffs for v in values], order, lane)[start:]
     return (_term_products(terms, tau, order) for tau in range(start, len(values)))
 
@@ -416,30 +429,12 @@ def decomposition_check(array: PhaseArray, qprime: int, rprime: int) -> bool:
 
 
 def decomposition_check_all(array: PhaseArray) -> bool:
-    """The identity of `decomposition_check` at every shift pair (q', r'),
-    with the flattening and the columns built once."""
-    seq, cols, n = flatten(array).exponents, array.columns(), array.order
-    R, C = array.rows, array.cols
-    L = R * C
-    lane = _lane_bytes(L)
-    if not _packed_pays(2 * L * L, n, lane, (1, L), (C * C, R)):
-        return all(
-            _decomposition_holds(seq, cols, qprime, rprime, n)
-            for qprime in range(R)
-            for rprime in range(C)
-        )
-    lhs = _shift_counts(_pack(seq, n, lane, True) * _pack(seq, n, lane, False), L, n, lane)
-    lefts = [_pack(col, n, lane, True) for col in cols]
-    # pair r meets column r + r'; past the last column it wraps to the start
-    # one row further down, which is that column rotated up by one row
-    rights = [_pack(col, n, lane, False) for col in cols]
-    rights += [_pack(col[1:] + col[:1], n, lane, False) for col in cols]
-    for rprime in range(C):
-        packed = sum(left * right for left, right in zip(lefts, rights[rprime:]))
-        rhs = _shift_counts(packed, R, n, lane)
-        if not all(_ring_equal(lhs[q * C + rprime], rhs[q], n) for q in range(R)):
-            return False
-    return True
+    """The identity of `decomposition_check` at every shift pair (q', r'):
+    the flattening's autocorrelation at tau = q'C + r' against the carry
+    form of the 2D autocorrelation at flat shift q'C + r', read in order."""
+    seq, n = flatten(array).exponents, array.order
+    lhs, rhs = _sequence_shifts(seq, seq, n), _array_shifts(array, carry=True)
+    return all(_ring_equal(left, right, n) for left, right in zip(lhs, rhs))
 
 
 def _projection_sum_holds(terms, cols, tau: int, order: int) -> bool:
@@ -466,7 +461,7 @@ def projection_sum_check_all(array: PhaseArray) -> bool:
     values, cols, n = column_sum(array).values, array.columns(), array.order
     R, C = array.rows, array.cols
     lane = _lane_bytes(C * C * R)
-    if not _packed_pays(C * C * R * R, n, lane, (1, R)):
+    if not _packed_pays(C * C * R * R, n, lane, R):
         terms = _unit_terms(values)
         return all(_projection_sum_holds(terms, cols, tau, n) for tau in range(R))
     # each row sum counts C roots of unity, so the ring-product side sums at

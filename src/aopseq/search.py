@@ -9,7 +9,7 @@ Four families share one engine skeleton:
 
 Candidates live in a single lexicographic index space that is cut into fixed
 blocks up front; workers process disjoint blocks and the parent consumes
-their results in block order (printing one progress line per block when
+their results in block order (printing a progress line every N blocks when
 asked), so reports are identical for any worker count.  Nothing that
 depends on scheduling (wall time, chunk accounting, audit tallies, worker
 count) enters the canonical serialized report.
@@ -1107,8 +1107,9 @@ def run_search(spec: SearchSpec) -> SearchReport:
     doing any work if the candidate space is larger than the budget, and
     ValueError if an index-function sweep's tables would hold more than
     MAX_TABLE_ENTRIES entries.  With
-    `progress_every` > 0 the calling process prints one line per completed
-    block to stderr: candidates so far, their rate and the time left."""
+    `progress_every` = N > 0 the calling process prints one line to stderr
+    after every N-th completed block and after the last: candidates so far,
+    their rate and the time left."""
     t0 = time.monotonic()
     space_size = _index_space_size(spec)
     total = space_size
@@ -1172,8 +1173,9 @@ def run_search(spec: SearchSpec) -> SearchReport:
         spot_checks += r["spot_checks"]
         audit_checked += r["audit_checked"]
         audit_disagreements += r["audit_disagreements"]
-        if spec.progress_every > 0:
-            covered += block[1] - block[0]
+        covered += block[1] - block[0]
+        every = spec.progress_every
+        if every > 0 and (number % every == 0 or number == len(blocks)):
             elapsed = time.monotonic() - t0
             eta = elapsed * (blocks[-1][1] - covered) / covered
             print(

@@ -279,6 +279,16 @@ def test_search_jobs_past_the_cap_exit_two_before_the_sweep(monkeypatch, capsys)
     assert cli.main(argv + [str(cli.MAX_JOBS)]) == cli.EXIT_INVARIANT_VIOLATION
 
 
+def test_search_summary_counts_the_workers_that_ran(tmp_path, capsys):
+    """Poly n=2 has 512 candidates, one block, so it runs in the calling
+    process whatever --jobs asks, and the summary says so."""
+    out = tmp_path / "r.json"
+    code = cli.main(["search", "--family", "poly", "--n", "2", "--jobs", "8",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert "with 1 worker(s)" in capsys.readouterr().err
+
+
 def test_search_cli_bound_violation_exits_three(tmp_path, monkeypatch, capsys):
     real = run_search(
         SearchSpec(family="poly", n=2, deg_x=1, deg_y=1,

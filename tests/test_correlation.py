@@ -6,11 +6,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aopseq.correlation
 from aopseq.correlation import (
+    _array_shifts,
     _lane_bytes,
     _pack,
     _packed_pays,
@@ -309,6 +310,41 @@ def test_packed_kernel_matches_diff_counts(case):
     ]
 
 
+@st.composite
+def small_arrays(draw):
+    n, R, C = draw(st.integers(2, 64)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    exps = draw(st.lists(st.integers(0, n - 1), min_size=R * C, max_size=R * C))
+    return PhaseArray(n, R, C, tuple(exps)), draw(st.integers(0, R * C - 1))
+
+
+@given(small_arrays())
+@example((PhaseArray(2, 1, 1, (1,)), 0))
+@example((PhaseArray(64, 1, 9, tuple(range(0, 63, 7))), 3))
+@example((PhaseArray(64, 9, 1, tuple(range(0, 63, 7))), 5))
+@example((PhaseArray(3, 9, 9, tuple(i * j % 3 for i in range(9) for j in range(9))), 0))
+@settings(max_examples=150, deadline=None)
+def test_carry_shifts_match_the_column_pair_sums(case):
+    """The carry form of `_array_shifts` at flat shift q'C + r' is the
+    column side of the decomposition identity, the sum over r of column r
+    against column r + r' (mod C) shifted down by q' + (r + r')//C, on the
+    packed and the per-shift route and from any start."""
+    arr, start = case
+    n, R, C = arr.order, arr.rows, arr.cols
+    cols = arr.columns()
+    pairs = [
+        tuple(diff_counts(
+            [(cols[r], cols[(r + rp) % C], (q + (r + rp) // C) % R) for r in range(C)], n
+        ))
+        for q in range(R)
+        for rp in range(C)
+    ]
+    for packed in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aopseq.correlation, "_packed_pays", lambda *args: packed)
+            assert [tuple(c) for c in _array_shifts(arr, carry=True)] == pairs
+            assert [tuple(c) for c in _array_shifts(arr, start, carry=True)] == pairs[start:]
+
+
 @pytest.mark.parametrize(
     "n, R, C, lane",
     [(3, 7, 6, 1), (4, 1, 16, 2), (5, 4, 127, 2), (2, 4, 128, 4)],
@@ -331,22 +367,31 @@ def test_packed_projection_side_matches_diff_counts(n, R, C, lane, constant):
 CONTROL_ARRAYS = [PhaseArray(60, 3, 3, (0, 7, 19, 24, 31, 42, 45, 53, 58)), frank_array(8)]
 
 
-def test_packed_path_rule():
+def test_packed_path_rule(monkeypatch):
     """Large orders stay on the per-shift path for single products (order
     32 up to length 64, orders 64 and 1024 up to length 300); the two control
-    arrays sit on opposite sides of the rule at both identity checks."""
+    arrays sit on opposite sides of the rule at both identity checks: at the
+    decomposition's two helpers (flattening and carry array) and at the
+    projection's one product."""
     for n, longest in ((32, 64), (64, 300), (1024, 300)):
         for L in range(1, longest + 1):
-            assert not _packed_pays(L * L, n, _lane_bytes(L), (1, L))
+            assert not _packed_pays(L * L, n, _lane_bytes(L), L)
+    decisions = []
+
+    def recorded(*args):
+        decisions.append(_packed_pays(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(aopseq.correlation, "_packed_pays", recorded)
     sides = []
     for arr in CONTROL_ARRAYS:
-        n, R, C = arr.order, arr.rows, arr.cols
-        L = R * C
-        sides.append((
-            _packed_pays(2 * L * L, n, _lane_bytes(L), (1, L), (C * C, R)),
-            _packed_pays(C * C * R * R, n, _lane_bytes(C * C * R), (1, R)),
-        ))
-    assert sides == [(False, False), (True, True)]
+        decisions.clear()
+        assert decomposition_check_all(arr)
+        decomposition = list(decisions)
+        decisions.clear()
+        assert projection_sum_check_all(arr)
+        sides.append((decomposition, list(decisions)))
+    assert sides == [([False, False], [False]), ([True, True], [True])]
 
 
 @pytest.mark.parametrize("arr", CONTROL_ARRAYS)

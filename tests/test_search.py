@@ -876,6 +876,12 @@ def test_progress_lines_come_from_the_parent(workers, capfd):
         assert "/s, ETA " in line
     assert lines[-1].endswith("ETA 0.0s")
     assert f"{loud.total_candidates} candidates" in lines[-1]
+    # every N-th block and the last one (16 blocks: N = 5 ends on 15, 16)
+    for every in (2, 5):
+        run_search(replace(spec, progress_every=every))
+        numbers = [int(line.split()[1].split("/")[0])
+                   for line in capfd.readouterr().err.splitlines()]
+        assert numbers == [b for b in range(1, blocks + 1) if b % every == 0 or b == blocks]
 
 
 def test_raw_phase_divisors_only_for_recorded_hits(monkeypatch):
