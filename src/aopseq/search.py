@@ -73,10 +73,19 @@ Both memos live for the whole sweep in each process (the serial loop or one
 pool worker) and never across sweeps.
 
 Every block returns compact hit records (global index, payload) in
-ascending index order, and stops recording once it holds `hit_limit` hits.
-The payload is the verdicts tuple for poly and floored sweeps (one hit per
-verdict), the AOP divisors for raw-phase, and the conventions for
-raw-quaternion.  The parent keeps a block's records unless it already holds
+ascending index order.  The payload is the verdicts tuple for poly and
+floored sweeps (one hit per verdict), the AOP divisors for raw-phase, and
+the conventions for raw-quaternion.  Blocks that cut an index range (poly,
+floored, raw-phase) spend one hit room per process: a process runs its
+blocks in ascending order (`pool.map` hands them out in order, the serial
+loop runs them in order), so once it has recorded `hit_limit` hits no later
+hit it meets can reach the report, and it records no more.  An
+index-function head adds one to the read count of its span of its verdict
+row; it reads the span's verdicts only at the span's first read in the
+process or while room remains, and the block expands the counts into its
+verdict tallies at its end.  Raw-quaternion blocks stop recording once
+each holds `hit_limit` hits, because orbit members interleave across
+blocks.  The parent keeps a block's records unless it already holds
 `hit_limit` records and the block's first index lies past every held one;
 it merges the kept lists once by index and builds report entries from the
 merged records until it has `hit_limit` of them.
@@ -234,6 +243,8 @@ class SearchSpec:
             raise ValueError("workers, budget, hit_limit must be sane")
         if self.filter_mod < 1 or not 0 <= self.filter_residue < self.filter_mod:
             raise ValueError("filter residue must lie in [0, filter_mod)")
+        if self.progress_every < 0:
+            raise ValueError("progress_every must be non-negative")
 
     @property
     def coeff_modulus(self) -> int:
@@ -491,8 +502,13 @@ class _SweepMemo:
     spot check has already re-decided; per cell (i, j) of the R' x C' direct
     array, row-major and unreduced, the exact i^a j^b (its own loop), each
     tail's and last-head-row value's exact p(i, j) and the tile cell
-    (i mod m, j mod m).  For a raw-quaternion sweep: the packed pair table
-    of each convention and, past length 1, its shift-1 lookup tables."""
+    (i mod m, j mod m); and per head span (row key, first - base, hi - base,
+    the slice of the row a head reads), the count of each verdict tuple in
+    it, cached at the span's first read.  For a raw-quaternion sweep: the
+    packed pair table of each convention and, past length 1, its shift-1
+    lookup tables.  For poly, floored and raw-phase blocks: the hit room,
+    `hit_limit` less the hits this process has recorded, and the stop of its
+    last block, below which `claim` refuses a block (module docstring)."""
 
     def __init__(self, spec: SearchSpec, vectors: list[tuple[int, ...]]) -> None:
         self.vectors = vectors
@@ -538,7 +554,19 @@ class _SweepMemo:
         self.rows: dict[
             tuple[int, ...], tuple[list[Optional[Verdicts]], list[int]]
         ] = {}
+        self.spans: dict[tuple, Counter[Verdicts]] = {}
         self.spot_tiles: set[tuple[int, ...]] = set()
+        self.room = spec.hit_limit
+        self.reached = 0
+
+    def claim(self, start: int, stop: int) -> None:
+        """Take block [start, stop) of an index range.  The hit room is sound
+        only while this process runs its blocks in ascending order, so that
+        every record it has shipped lies below the block."""
+        if start < self.reached:
+            raise RuntimeError(f"block [{start}, {stop}) starts below {self.reached}, "
+                               f"where this process's previous block stopped")
+        self.reached = stop
 
 
 def _tile_columns(flat, period: int) -> list[tuple[int, ...]]:
@@ -683,10 +711,9 @@ def _index_function_block(
         # rotates every generated exponent by one alphabet step.  It is the
         # index's leading digit, so keeping it below `divisor` keeps a prefix.
         stop = min(stop, divisor * m**head_width * n_tails // m)
-    tally: Counter[Verdicts] = Counter()
+    reads: Counter[tuple] = Counter()
     records: list[tuple[int, Verdicts]] = []
-    room = spec.hit_limit
-    tested = 0
+    room = memo.room
     spot_checks = 0
     upper_index = -1
     for head in range(start // n_tails, -(-stop // n_tails)):
@@ -713,18 +740,23 @@ def _index_function_block(
                 member = tuple([(h + v) % m for h, v in zip(head_tile, tails[s])])
                 memo.rows.setdefault(_row_key(member, m, divisor), (entry[0], shift))
         row, index_map = entry
-        slots = index_map[first - base : hi - base : mod]
-        picked = [row[slot] for slot in slots]
-        # rows fill on demand, so a sparse filter composes no unused tile
-        if None in picked:
-            for t, slot in zip(range(first - base, hi - base, mod), slots):
-                if row[slot] is None:
-                    composed = [(h + v) % m // divisor
-                                for h, v in zip(head_tile, tails[t])]
-                    row[slot] = _class_verdicts(spec, memo, composed)
+        # the span's cached verdict counts tally it; its verdicts are read
+        # only to fill that cache or to record hits
+        span = (key, first - base, hi - base)
+        reads[span] += 1
+        if span not in memo.spans or room > 0:
+            slots = index_map[first - base : hi - base : mod]
             picked = [row[slot] for slot in slots]
-        tested += len(picked)
-        tally.update(picked)
+            # rows fill on demand, so a sparse filter composes no unused tile
+            if None in picked:
+                for t, slot in zip(range(first - base, hi - base, mod), slots):
+                    if row[slot] is None:
+                        composed = [(h + v) % m // divisor
+                                    for h, v in zip(head_tile, tails[t])]
+                        row[slot] = _class_verdicts(spec, memo, composed)
+                picked = [row[slot] for slot in slots]
+            if span not in memo.spans:
+                memo.spans[span] = Counter(picked)
         if room > 0:
             for idx, verdicts in zip(range(first, hi, mod), picked):
                 if verdicts:
@@ -750,6 +782,11 @@ def _index_function_block(
                 direct = [(u + v + w) % m // divisor for u, v, w in
                           zip(upper_exact, memo.exact_last[last], memo.exact_tails[t])]
                 spot_checks += _spot_check(spec, memo, idx, composed, direct, verdicts)
+    memo.room = room
+    tally: Counter[Verdicts] = Counter()
+    for span, count in reads.items():
+        for verdicts, c in memo.spans[span].items():
+            tally[verdicts] += c * count
     hits_total = 0
     histogram: dict[str, int] = {}
     max_len = 0
@@ -761,7 +798,7 @@ def _index_function_block(
             max_len = max(max_len, R * C)
     return {
         "hits": records,
-        "tested": tested,
+        "tested": sum(tally.values()),
         "hits_total": hits_total,
         "histogram": histogram,
         "max_hit_length": max_len,
@@ -770,7 +807,7 @@ def _index_function_block(
     }
 
 
-def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
+def _raw_phase_block(spec: SearchSpec, start: int, stop: int, memo: _SweepMemo) -> dict:
     n, L = spec.n, spec.length
     records: list[tuple[int, list[int]]] = []
     tested = 0
@@ -785,10 +822,11 @@ def _raw_phase_block(spec: SearchSpec, start: int, stop: int) -> dict:
             continue
         hits_total += 1
         # only a recorded hit reports its AOP divisors
-        if len(records) < spec.hit_limit:
+        if memo.room > 0:
             divisors = [C for C in range(1, L + 1)
                         if L % C == 0 and check_aop(PhaseArray(n, L // C, C, exps)).holds]
             records.append((idx, divisors))
+            memo.room -= 1
     return {
         "hits": records,
         "tested": tested,
@@ -1051,9 +1089,11 @@ def _run_block(spec: SearchSpec, block: tuple[int, int], memo: _SweepMemo) -> di
         audit.enabled = True
     try:
         if spec.family in ("poly", "floored"):
+            memo.claim(*block)
             result = _index_function_block(spec, block[0], block[1], memo)
         elif spec.family == "raw-phase":
-            result = _raw_phase_block(spec, block[0], block[1])
+            memo.claim(*block)
+            result = _raw_phase_block(spec, block[0], block[1], memo)
         else:
             result = _raw_quaternion_block(spec, block[0], block[1], memo)
     finally:

@@ -208,6 +208,12 @@ def test_search_cli_budget_and_bad_spec(tmp_path, capsys):
     assert cli.main(["search", "--family", "bogus", "--n", "2"]) == 2
 
 
+def test_search_negative_progress_every_exits_two(capsys):
+    code = cli.main(["search", "--family", "poly", "--n", "2", "--progress-every", "-5"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "progress_every must be non-negative" in capsys.readouterr().err
+
+
 def collapse_space_n3_k4(deg_y):
     """Exact size of the floored n=3 K=4 collapse space: 12^(2w) free
     prefixes times 4^w * 3^(w-3) suffixes, w = deg_y + 1 (a null polynomial

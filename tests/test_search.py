@@ -50,6 +50,8 @@ def test_spec_validation():
         SearchSpec(family="poly", n=2, budget=0)
     with pytest.raises(ValueError):
         SearchSpec(family="poly", n=2, filter_mod=2, filter_residue=5)
+    with pytest.raises(ValueError, match="progress_every"):
+        SearchSpec(family="poly", n=2, progress_every=-5)
 
 
 def test_total_candidates_of_small_spaces():
@@ -722,12 +724,66 @@ def test_hit_cap_across_blocks_is_independent_of_workers():
     for limit in (per_block - 1, per_block, per_block + 1, split):
         outputs = [
             run_search(SearchSpec(**base, hit_limit=limit, workers=w))
-            for w in (1, 2, 4)
+            for w in (1, 2, 4, 16)
         ]
         assert outputs[0].hits == hits[:limit]
         assert outputs[0].hits_total == uncapped.hits_total
         texts = [r.canonical_json() for r in outputs]
-        assert texts[0] == texts[1] == texts[2]
+        assert texts[1:] == texts[:-1]
+
+
+@pytest.mark.parametrize("base", [
+    dict(family="floored", n=2, k=2, deg_x=3, deg_y=1, r_range=(1, 3), c_range=(1, 3)),
+    dict(family="raw-phase", n=3, length=9),
+], ids=["floored", "raw-phase"])
+def test_hit_room_is_spent_once_per_process(base):
+    """One memo runs two ascending blocks: once the first has recorded
+    `hit_limit` hits, the second ships no record but counts every hit.
+    A memo that meets a block below its previous one raises."""
+    spec = SearchSpec(**base, hit_limit=5)
+    vectors = search._tail_vectors(spec) if spec.family == "floored" else []
+    low, high = (0, 4096), (4096, 8192)
+    alone = search._run_block(spec, high, search._SweepMemo(spec, vectors))
+    assert len(alone["hits"]) > 0
+    memo = search._SweepMemo(spec, vectors)
+    assert len(search._run_block(spec, low, memo)["hits"]) > 0
+    assert memo.room <= 0
+    second = search._run_block(spec, high, memo)
+    assert second["hits"] == []
+    assert second["tested"] == alone["tested"]
+    assert second["hits_total"] == alone["hits_total"] > 0
+    assert second["histogram"] == alone["histogram"]
+    memo = search._SweepMemo(spec, vectors)
+    search._run_block(spec, high, memo)
+    with pytest.raises(RuntimeError, match="starts below 8192"):
+        search._run_block(spec, low, memo)
+
+
+@pytest.mark.parametrize("base", [
+    # 27 tails: block edges at multiples of 4096 fall inside heads
+    dict(family="poly", n=3, deg_x=2, deg_y=2, r_range=(1, 4), c_range=(1, 4)),
+    # 16 tails: a head's first filtered tail moves with its index
+    dict(family="floored", n=2, k=2, deg_x=3, deg_y=1, r_range=(1, 3), c_range=(1, 3),
+         filter_mod=3, filter_residue=1),
+    dict(family="poly", n=3, deg_x=2, deg_y=2, r_range=(1, 4), c_range=(1, 4),
+         symmetry="phase-shift"),
+], ids=["poly-mid-head-edges", "floored-filter", "poly-phase-shift"])
+def test_span_counts_match_per_candidate_tallies(base):
+    """Blocks tally each head from its span's cached verdict counts.  At
+    hit_limit 0 a head reads its verdicts only at its span's first read;
+    with room to spare every head reads them to record its hits.  Both must
+    count what the per-candidate reference counts."""
+    counted = run_search(SearchSpec(**base, hit_limit=0))
+    picked = run_search(SearchSpec(**base, hit_limit=10**9))
+    assert counted.hits == []
+    assert len(picked.hits) == picked.hits_total > 0
+    tested, _, hits_total, histogram, max_len = reference_index_sweep(counted.spec)
+    for report in (counted, picked):
+        assert report.total_candidates == tested
+        assert report.hits_total == hits_total
+        assert report.hit_histogram == histogram
+        assert report.max_hit_length == max_len
+    assert counted.spot_checks == picked.spot_checks
 
 
 def test_raw_phase_hit_cap_across_blocks():
