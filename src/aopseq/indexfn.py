@@ -111,8 +111,6 @@ def _coeff_rows(p: PolyIndex) -> list[list[int]]:
 
 
 def _horner(rows: list[list[int]], m: int, i: int, j: int) -> int:
-    i %= m
-    j %= m
     total = 0
     for coeffs in rows:
         row = 0

@@ -53,16 +53,17 @@ composed tile keeps its column-phase class, hence its verdicts.
 Head tiles that differ by a tail tile share one row.  Let s (+) t be the
 tail whose coefficients are those of tails s and t added digit-wise mod m.
 Tiles are linear in the coefficients, so head tile h + tails[s] with tail t
-composes to h + tails[s (+) t], the tile of h with tail s (+) t: its row is
-h's row read through the index map t -> s (+) t.  The tails s whose tile is
-itself a head tile, the only ones for which h + tails[s] is ever a head
-tile, are those with deg_x! q_s(j) = 0 mod m at every j, q_s being the
-tail's polynomial in y (falling-factorial normal form; Singmaster 1974).
-When a head tile h with a new row key appears, that key is registered
-under the identity map and the key of h + tails[s] under s's map for each
-such s; rows still fill on demand, slot s (+) t from composing the current
-head tile with tails[t].  A sweep therefore composes one tile per (coset of
-row keys, tail) rather than one per (head tile, tail).
+composes to h + tails[s (+) t], the tile of h with tail s (+) t: slot t of
+its row is slot s (+) t of h's row.  The tails s whose tile is itself a
+head tile, the only ones for which h + tails[s] is ever a head tile, are
+those with deg_x! q_s(j) = 0 mod m at every j, q_s being the tail's
+polynomial in y (falling-factorial normal form; Singmaster 1974).  When a
+head tile h with a new row key appears, its row is filled whole, one class
+verdict per tail, and the key of h + tails[s] is registered for each such
+s with its own copy of that row permuted by s's index map t -> s (+) t.
+Every row key thus maps to a complete list of verdicts, and a sweep
+composes one tile per (coset of row keys, tail) rather than one per (head
+tile, tail).
 
 A class's verdicts take one pass per row count R < 2m over its first
 min(max C, m) columns: condition 1 at C is condition 1 at C - 1 plus
@@ -91,18 +92,19 @@ it merges the kept lists once by index and builds report entries from the
 merged records until it has `hit_limit` of them.
 
 One candidate in a hundred is re-checked the slow way.  First, the verdicts
-its head tile's shared row holds for it must be the verdicts of the class of
-its own composed tile, which filling that slot from a tile of the same class
-decided; this comparison adds no `spot_checks` units.  Then its direct array
-(p(i, j) mod m, floored for floored sweeps, from the exact integer p(i, j) on
-unreduced i and j, summed from per-sweep exact grids of each tail and
-last-head-row value and a per-prefix grid of the other head digits) must
-equal the periodic extension of the composed tile at every cell, the one
-tile comparison.  The first sample of each distinct tile per sweep and
-process runs one verdict pass per R in range over the first max C direct
-columns; the (R, C) that hold must be the class's verdicts exactly, which
-re-decides every pruned (R, C), C > m or R >= 2m.  Every sample counts its
-spot-check units, and each recorded hit's R x C block passes the public check.
+its head tile's row holds for it must be the verdicts of the class of its
+own composed tile, which is already decided: the row was filled from tiles
+of the same classes, or copied from such a row; this comparison adds no
+`spot_checks` units.  Then its direct array (p(i, j) mod m, floored for
+floored sweeps, from the exact integer p(i, j) on unreduced i and j, summed
+from per-sweep exact grids of each tail and last-head-row value and a
+per-prefix grid of the other head digits) must equal the periodic extension
+of the composed tile at every cell, the one tile comparison.  The first
+sample of each distinct tile per sweep and process runs one verdict pass per
+R in range over the first max C direct columns; the (R, C) that hold must be
+the class's verdicts exactly, which re-decides every pruned (R, C), C > m or
+R >= 2m.  Every sample counts its spot-check units, and each recorded hit's
+R x C block passes the public check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -496,19 +498,20 @@ class _SweepMemo:
     tiles; the tiles of every value of the last head row, added to the
     tile of the remaining head digits to build a head tile; the shared tails
     (one per distinct tile) with their index maps; verdicts per column-phase
-    class; per row key, a verdict row and the index map through which it
-    reads that row (rows fill on demand and are shared by the head tiles
-    that differ by column constants or a shared tail); and the tiles a
-    spot check has already re-decided; per cell (i, j) of the R' x C' direct
-    array, row-major and unreduced, the exact i^a j^b (its own loop), each
-    tail's and last-head-row value's exact p(i, j) and the tile cell
-    (i mod m, j mod m); and per head span (row key, first - base, hi - base,
-    the slice of the row a head reads), the count of each verdict tuple in
-    it, cached at the span's first read.  For a raw-quaternion sweep: the
-    packed pair table of each convention and, past length 1, its shift-1
-    lookup tables.  For poly, floored and raw-phase blocks: the hit room,
-    `hit_limit` less the hits this process has recorded, and the stop of its
-    last block, below which `claim` refuses a block (module docstring)."""
+    class; per row key, a complete verdict row whose slot t holds the
+    verdicts of the key's head tiles composed with tail t (filled whole when
+    a head first reaches the key, or copied from that row through a shared
+    tail's index map); and the tiles a spot check has already re-decided;
+    per cell (i, j) of the R' x C' direct array, row-major and unreduced,
+    the exact i^a j^b (its own loop), each tail's and last-head-row value's
+    exact p(i, j) and the tile cell (i mod m, j mod m); and per head span
+    (row key, first - base, hi - base, the slice of the row a head reads),
+    the count of each verdict tuple in it, cached at the span's first read.
+    For a raw-quaternion sweep: the packed pair table of each convention
+    and, past length 1, its shift-1 lookup tables.  For poly, floored and
+    raw-phase blocks: the hit room, `hit_limit` less the hits this process
+    has recorded, and the stop of its last block, below which `claim`
+    refuses a block (module docstring)."""
 
     def __init__(self, spec: SearchSpec, vectors: list[tuple[int, ...]]) -> None:
         self.vectors = vectors
@@ -517,7 +520,6 @@ class _SweepMemo:
         self.last_head_tiles: list[tuple[int, ...]] = []
         self.shared: list[int] = []
         self.shifts: list[list[int]] = []
-        self.identity: list[int] = []
         if spec.family in ("poly", "floored"):
             m = spec.coeff_modulus
             self.mono = _monomial_rows(spec)
@@ -542,7 +544,6 @@ class _SweepMemo:
                 by_tile.setdefault(self.tails[s], s)
             self.shared = list(by_tile.values())
             self.shifts = _tail_shifts(spec, vectors, self.shared)
-            self.identity = list(range(len(self.tails)))
         self.quat_tables: dict = {}
         self.quat_lookup: dict = {}
         if spec.family == "raw-quaternion":
@@ -551,9 +552,7 @@ class _SweepMemo:
                 self.quat_lookup = {c: _shift_one_lookup(table, spec.length)
                                     for c, table in self.quat_tables.items()}
         self.verdicts: dict[tuple[int, ...], Verdicts] = {}
-        self.rows: dict[
-            tuple[int, ...], tuple[list[Optional[Verdicts]], list[int]]
-        ] = {}
+        self.rows: dict[tuple[int, ...], list[Verdicts]] = {}
         self.spans: dict[tuple, Counter[Verdicts]] = {}
         self.spot_tiles: set[tuple[int, ...]] = set()
         self.room = spec.hit_limit
@@ -699,7 +698,6 @@ def _index_function_block(
     order = spec.alphabet_order
     head_width = spec.vector_width - spec.deg_y - 1
     upper_width = _upper_width(spec)
-    upper_mono = [row[:upper_width] for row in memo.mono]
     last_tiles = memo.last_head_tiles
     n_last = len(last_tiles)
     tails = memo.tails
@@ -726,35 +724,28 @@ def _index_function_block(
         if upper != upper_index:
             upper_index = upper
             digits = _digits(upper, m, upper_width)
-            upper_tile = [sum(c * r for c, r in zip(digits, row) if c)
-                          for row in upper_mono]
+            upper_tile = _row_tiles([digits], memo.mono, slice(0, upper_width), m)[0]
             upper_exact = None
         head_tile = tuple([(u + v) % m for u, v in zip(upper_tile, last_tiles[last])])
         key = _row_key(head_tile, m, divisor)
-        entry = memo.rows.get(key)
-        if entry is None:
-            # head tile h + tails[s] reads h's row at s (+) t for tail t:
-            # both compose to h + tails[s (+) t]
-            entry = memo.rows[key] = ([None] * n_tails, memo.identity)
+        row = memo.rows.get(key)
+        if row is None:
+            row = memo.rows[key] = [
+                _class_verdicts(spec, memo, [(h + v) % m // divisor
+                                             for h, v in zip(head_tile, tail)])
+                for tail in tails
+            ]
+            # head tile h + tails[s] with tail t composes to h + tails[s (+) t],
+            # so its slot t is h's slot shift[t] = s (+) t
             for s, shift in zip(memo.shared, memo.shifts):
                 member = tuple([(h + v) % m for h, v in zip(head_tile, tails[s])])
-                memo.rows.setdefault(_row_key(member, m, divisor), (entry[0], shift))
-        row, index_map = entry
+                memo.rows.setdefault(_row_key(member, m, divisor), [row[u] for u in shift])
         # the span's cached verdict counts tally it; its verdicts are read
         # only to fill that cache or to record hits
         span = (key, first - base, hi - base)
         reads[span] += 1
         if span not in memo.spans or room > 0:
-            slots = index_map[first - base : hi - base : mod]
-            picked = [row[slot] for slot in slots]
-            # rows fill on demand, so a sparse filter composes no unused tile
-            if None in picked:
-                for t, slot in zip(range(first - base, hi - base, mod), slots):
-                    if row[slot] is None:
-                        composed = [(h + v) % m // divisor
-                                    for h, v in zip(head_tile, tails[t])]
-                        row[slot] = _class_verdicts(spec, memo, composed)
-                picked = [row[slot] for slot in slots]
+            picked = row[first - base : hi - base : mod]
             if span not in memo.spans:
                 memo.spans[span] = Counter(picked)
         if room > 0:
@@ -769,14 +760,17 @@ def _index_function_block(
             if idx % mod == residue:
                 t = idx - base
                 composed = [(h + v) % m // divisor for h, v in zip(head_tile, tails[t])]
-                verdicts = row[index_map[t]]
-                # the slot was filled from a tile of this class, so it is known
+                verdicts = row[t]
+                # slot t was filled from a tile of this class, or copied from
+                # such a slot through a shared tail's index map
                 own = memo.verdicts.get(_phase_class(composed, m, order))
                 if own != verdicts:
                     raise AssertionError(
                         f"index {idx} reads verdicts {verdicts} through its head "
                         f"tile's shared row, its own tile's class has {own}"
                     )
+                # built at the prefix's first sample: a prefix can hold fewer
+                # candidates than its R' x C' grid has cells
                 if upper_exact is None:
                     upper_exact = [sum(c * v for c, v in zip(digits, x)) for x in memo.exact]
                 direct = [(u + v + w) % m // divisor for u, v, w in

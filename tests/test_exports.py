@@ -1,6 +1,9 @@
-"""Every exported name resolves, so a deletion cannot leave a stale entry."""
+"""Every exported name resolves, so a deletion cannot leave a stale entry;
+no invariant check in the package is an `assert` statement."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -18,3 +21,14 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_no_assert_statements_in_the_package():
+    """`python -O` strips `assert` statements, so every invariant check in
+    `aopseq` raises `AssertionError` itself."""
+    found = []
+    for path in sorted(pathlib.Path(aopseq.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == [], f"assert statements vanish under python -O: {found}"

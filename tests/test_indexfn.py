@@ -1,6 +1,7 @@
 """Index functions: reduction soundness, periodicity, duplication witnesses."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -173,3 +174,14 @@ def test_column_duplication_witness():
     assert column_duplication_witness(f, 6, rows=12) == (0, 6)
     with pytest.raises(ValueError):
         column_duplication_witness(p, 4, rows=9)
+
+
+def test_periodicity_certificates_fail_off_the_integers():
+    """p = y/2 mod 5 is not 5-periodic in j (p(0, 5) = 5/2), so both
+    certificates must fail: they evaluate at unreduced points and never
+    assume the periodicity they certify."""
+    p = PolyIndex(5, {(0, 1): Fraction(1, 2)})
+    assert not index_periodicity_check(p, trials=4)
+    with pytest.raises(AssertionError, match="columns 0 and 5 differ at row 0"):
+        column_duplication_witness(p, 5, rows=1)
+    assert poly_eval(p, 0, 5) == Fraction(5, 2)

@@ -1263,6 +1263,36 @@ def test_class_verdicts_once_per_shared_row_slot(monkeypatch):
     assert len(calls) == 729
 
 
+@pytest.mark.parametrize("spec", [
+    SearchSpec(family="floored", n=2, k=2, deg_x=2, deg_y=2, r_range=(1, 8),
+               c_range=(1, 8)),
+    SearchSpec(family="poly", n=4, deg_x=2, deg_y=2, r_range=(1, 5), c_range=(1, 5)),
+], ids=["floored22", "poly4"])
+def test_every_row_slot_holds_its_composed_class(spec):
+    """After a serial sweep every row is complete, and slot t of each head's
+    row holds the class verdicts of that head's tile, built from all its
+    head digits, composed with tails[t]: rows a head filled and rows copied
+    for a shared tail alike."""
+    vectors = search._tail_vectors(spec)
+    memo = search._SweepMemo(spec, vectors)
+    for block in search._blocks(search._index_space_size(spec), 4096):
+        search._run_block(spec, block, memo)
+    assert len(memo.shared) > 1
+    assert all(type(row) is list and len(row) == len(memo.tails) and None not in row
+               for row in memo.rows.values())
+    m = spec.coeff_modulus
+    divisor = spec.n if spec.family == "floored" else 1
+    head_width = spec.vector_width - spec.deg_y - 1
+    for head in range(m**head_width):
+        digits = search._digits(head, m, head_width)
+        head_tile = search._row_tiles([digits], memo.mono, slice(0, head_width), m)[0]
+        row = memo.rows[search._row_key(head_tile, m, divisor)]
+        want = [search._class_verdicts(spec, memo, [(h + v) % m // divisor
+                                                    for h, v in zip(head_tile, tail)])
+                for tail in memo.tails]
+        assert row == want, f"head {head} ({digits})"
+
+
 def test_row_key_ignoring_the_floored_divisor_raises(monkeypatch):
     """A floored row key that removes each column's whole row-0 entry, not
     just its multiple of n, shares a row between head tiles whose columns
