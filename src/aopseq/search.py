@@ -65,13 +65,21 @@ Every row key thus maps to a complete list of verdicts, and a sweep
 composes one tile per (coset of row keys, tail) rather than one per (head
 tile, tail).
 
-A class's verdicts take one pass per row count R < 2m over its first
-min(max C, m) columns: condition 1 at C is condition 1 at C - 1 plus
-the pairs of column C - 1, so every C together cost one condition-1 check
-of the widest; condition 2 at C zero-tests a running sum of the column
-autocorrelations, one test per shift up to its first nonzero one.
-Both memos live for the whole sweep in each process (the serial loop or one
-pool worker) and never across sweeps.
+A class's verdicts are read off two tables, over its tile columns doubled
+(so every R < 2m cuts them without wrapping) and the row counts R < 2m in
+range.  The pair table maps a column pair (u, v) to a bitmask of the R at
+which u and v cut to R rows are orthogonal at every cyclic shift.  The
+prefix table maps a tile's first c columns to two masks: the R at which
+they pass condition 1, which is the first c - 1 columns' mask ANDed with
+the pair masks of column c - 1 with each earlier column; and, among those,
+the R at which they also pass condition 2, whose summed autocorrelations
+are zero-tested shift by shift up to the first nonzero one.  A class's
+verdict at (R, C) is bit R of its C-prefix's second mask, and a class whose
+condition-1 mask empties at some C reads no longer prefix.  A class's
+verdicts at C depend on its first C columns alone, so classes share most of
+their pairs and prefixes.  The class memo and both tables live for the
+whole sweep in each process (the serial loop or one pool worker) and never
+across sweeps.
 
 Every block returns compact hit records (global index, payload) in
 ascending index order.  The payload is the verdicts tuple for poly and
@@ -103,7 +111,9 @@ of the composed tile at every cell, the one tile comparison.  The first
 sample of each distinct tile per sweep and process runs one verdict pass per
 R in range over the first max C direct columns; the (R, C) that hold must be
 the class's verdicts exactly, which re-decides every pruned (R, C), C > m or
-R >= 2m.  Every sample counts its spot-check units, and each recorded hit's
+R >= 2m.  That pass runs `_aop_holds_widths`, which class verdicts never
+run, so it re-decides each sampled tile's class verdicts by a second
+kernel.  Every sample counts its spot-check units, and each recorded hit's
 R x C block passes the public check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
@@ -159,7 +169,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .aop import _aop_holds_widths, check_aop, is_perfect_sequence
-from .cyclotomic import audit
+from .correlation import diff_counts
+from .cyclotomic import audit, counts_is_zero
 from .quaternion import (
     MUL, PAIR_PRODUCT, UNIT_SYMBOLS, VEC, QuaternionSequence, quat_is_perfect,
 )
@@ -498,10 +509,11 @@ class _SweepMemo:
     tiles; the tiles of every value of the last head row, added to the
     tile of the remaining head digits to build a head tile; the shared tails
     (one per distinct tile) with their index maps; verdicts per column-phase
-    class; per row key, a complete verdict row whose slot t holds the
-    verdicts of the key's head tiles composed with tail t (filled whole when
-    a head first reaches the key, or copied from that row through a shared
-    tail's index map); and the tiles a spot check has already re-decided;
+    class, and the pair and prefix tables they are read from; per row key, a
+    complete verdict row whose slot t holds the verdicts of the key's head
+    tiles composed with tail t (filled whole when a head first reaches the
+    key, or copied from that row through a shared tail's index map); and the
+    tiles a spot check has already re-decided;
     per cell (i, j) of the R' x C' direct array, row-major and unreduced,
     the exact i^a j^b (its own loop), each tail's and last-head-row value's
     exact p(i, j) and the tile cell (i mod m, j mod m); and per head span
@@ -544,6 +556,7 @@ class _SweepMemo:
                 by_tile.setdefault(self.tails[s], s)
             self.shared = list(by_tile.values())
             self.shifts = _tail_shifts(spec, vectors, self.shared)
+            self.tables = _VerdictTables(m, spec.alphabet_order, spec.r_range, spec.c_range)
         self.quat_tables: dict = {}
         self.quat_lookup: dict = {}
         if spec.family == "raw-quaternion":
@@ -595,23 +608,73 @@ def _verdict_pass(
     return out
 
 
-def _tile_verdicts(
-    tile_cols: list[tuple[int, ...]],
-    period: int,
-    order: int,
-    r_range: tuple[int, int],
-    c_range: tuple[int, int],
-) -> list[tuple[int, int]]:
-    # column counts beyond the period are skipped: columns 0 and `period` are
-    # the same residue column, their shift-0 inner product is R, so condition
-    # 1 cannot hold; row counts from _periodic_rows(period) on fail condition
-    # 2, and two periods cover every row count below that
-    return _verdict_pass(
-        [tc * 2 for tc in tile_cols],
-        range(r_range[0], min(r_range[1] + 1, _periodic_rows(period))),
-        range(c_range[0], min(c_range[1], period) + 1),
-        order,
-    )
+def _pair_mask(u: tuple[int, ...], v: tuple[int, ...], r_values: range, order: int) -> int:
+    """The bits R in `r_values` at which tile columns u and v, doubled and
+    cut to R rows, are orthogonal at every cyclic shift."""
+    mask = 0
+    for R in r_values:
+        a, b = (u * 2)[:R], (v * 2)[:R]
+        if all(counts_is_zero(diff_counts(((a, b, tau),), order), order) for tau in range(R)):
+            mask |= 1 << R
+    return mask
+
+
+class _VerdictTables:
+    """The class-verdict kernel, with its tables for one sweep in one process.
+
+    Over the tile columns doubled (so every R < 2 * period cuts them without
+    wrapping) and the row counts R < 2 * period in range, `pairs` maps a
+    column pair (u, v) to its `_pair_mask`, and `prefixes` maps a tuple of
+    a tile's first c columns to (condition-1 mask, AOP mask): the bits R at
+    which those c columns, cut to R rows, pass condition 1, and the bits at
+    which they also pass condition 2 (module docstring)."""
+
+    def __init__(self, period: int, order: int, r_range: tuple[int, int],
+                 c_range: tuple[int, int]) -> None:
+        self.order = order
+        self.r_values = range(r_range[0], min(r_range[1] + 1, _periodic_rows(period)))
+        self.c_values = range(c_range[0], min(c_range[1], period) + 1)
+        self.pairs: dict[tuple, int] = {}
+        self.prefixes: dict[tuple, tuple[int, int]] = {}
+
+    def verdicts(self, tile_cols: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+        """Every (R, C) in range, R-major, at which the first C tile
+        columns, doubled and cut to R rows, have the AOP."""
+        width = self.c_values[-1] if self.c_values else 0
+        holds = [0] * width
+        alive = sum(1 << R for R in self.r_values)
+        for c in range(1, width + 1):
+            if not alive:
+                break
+            prefix = tuple(tile_cols[:c])
+            entry = self.prefixes.get(prefix)
+            if entry is None:
+                entry = self.prefixes[prefix] = self._extend(prefix, alive)
+            alive, holds[c - 1] = entry
+        return [(R, C) for R in self.r_values for C in self.c_values
+                if holds[C - 1] >> R & 1]
+
+    def _extend(self, prefix: tuple, alive: int) -> tuple[int, int]:
+        """The masks of `prefix`, whose columns but the last have condition-1
+        mask `alive`: the last column's pair masks with each earlier column
+        cut `alive`, then condition 2 zero-tests the summed autocorrelations
+        of each R left, shift by shift up to the first nonzero one."""
+        order, v = self.order, prefix[-1]
+        for u in prefix[:-1]:
+            if not alive:
+                break
+            mask = self.pairs.get((u, v))
+            if mask is None:
+                mask = self.pairs[u, v] = _pair_mask(u, v, self.r_values, order)
+            alive &= mask
+        holds = 0
+        for R in self.r_values:
+            if alive >> R & 1:
+                cut = [(col * 2)[:R] for col in prefix]
+                if all(counts_is_zero(diff_counts([(a, a, tau) for a in cut], order), order)
+                       for tau in range(1, R)):
+                    holds |= 1 << R
+        return alive, holds
 
 
 def _row_key(tile: tuple[int, ...], period: int, divisor: int) -> tuple[int, ...]:
@@ -634,9 +697,7 @@ def _class_verdicts(spec: SearchSpec, memo: _SweepMemo, flat: list[int]) -> Verd
     key = _phase_class(flat, m, order)
     verdicts = memo.verdicts.get(key)
     if verdicts is None:
-        verdicts = memo.verdicts[key] = tuple(
-            _tile_verdicts(_tile_columns(key, m), m, order, spec.r_range, spec.c_range)
-        )
+        verdicts = memo.verdicts[key] = tuple(memo.tables.verdicts(_tile_columns(key, m)))
     return verdicts
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aopseq.aop import _aop_holds_widths, check_aop
+from aopseq.aop import AopVerdict, _aop_holds_widths, check_aop
 from aopseq.correlation import diff_counts
 from aopseq.cyclotomic import counts_is_zero
 from aopseq.indexfn import (
@@ -26,7 +27,6 @@ from aopseq import indexfn, search
 from aopseq.search import (
     BudgetExceeded,
     SearchSpec,
-    _tile_verdicts,
     run_search,
 )
 
@@ -305,28 +305,30 @@ def test_tile_verdicts_invariant_under_column_phases(case):
     order, period, cols, phases, r_hi = case
     shifted = [tuple((e + p) % order for e in col) for col, p in zip(cols, phases)]
     ranges = ((1, r_hi), (1, period + 1))
-    assert _tile_verdicts(shifted, period, order, *ranges) == _tile_verdicts(
-        cols, period, order, *ranges
+    assert search._VerdictTables(period, order, *ranges).verdicts(shifted) == (
+        search._VerdictTables(period, order, *ranges).verdicts(cols)
     )
 
 
 def test_no_verdict_memo_carries_across_sweeps(monkeypatch):
+    """Spot-check verdict passes, pair-table fills and prefix-table fills
+    all start again in a second sweep of the same spec."""
     calls = []
-    real = search._aop_holds_widths
+    for owner, name in ((search, "_aop_holds_widths"), (search, "_pair_mask"),
+                        (search._VerdictTables, "_extend")):
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
 
-    def counting(cols, rows, order):
-        calls.append(rows)
-        return real(cols, rows, order)
-
-    monkeypatch.setattr(search, "_aop_holds_widths", counting)
+        monkeypatch.setattr(owner, name, counting)
     spec = SearchSpec(family="poly", n=2, deg_x=2, deg_y=2,
                       r_range=(1, 4), c_range=(1, 4))
     first = run_search(spec)
-    first_calls = len(calls)
+    first_calls = Counter(calls)
     calls.clear()
     second = run_search(spec)
-    assert first_calls > 0
-    assert len(calls) == first_calls
+    assert set(first_calls) == {"_aop_holds_widths", "_pair_mask", "_extend"}
+    assert Counter(calls) == first_calls
     assert second.canonical_json() == first.canonical_json()
 
 
@@ -612,7 +614,8 @@ def test_collapse_suffix_count_matches_enumeration(n, k, deg_y):
 def reference_index_sweep(spec):
     """Direct reference for poly and floored sweeps: decode every index in
     the filter, build its tile by dot products with the monomial values, and
-    take its verdicts from `_tile_verdicts`."""
+    take its verdicts from `uncut_tile_verdicts` over the cells the sweep
+    does not prune, R < 2m and C <= m."""
     m = spec.coeff_modulus
     n = spec.n
     floored = spec.family == "floored"
@@ -639,9 +642,10 @@ def reference_index_sweep(spec):
             sum(c * v for c, v in zip(vector, row)) % m // divisor for row in monomials
         )
         if tile not in by_tile:
-            by_tile[tile] = _tile_verdicts(
+            by_tile[tile] = uncut_tile_verdicts(
                 [tile[j::m] for j in range(m)], m, spec.alphabet_order,
-                spec.r_range, spec.c_range,
+                (spec.r_range[0], min(spec.r_range[1], 2 * m - 1)),
+                (spec.c_range[0], min(spec.c_range[1], m)),
             )
         lead = vector[2 * tail_width : 3 * tail_width] if spec.deg_x >= 2 else []
         collapse = all(
@@ -1059,10 +1063,12 @@ def test_sampled_grids_match_the_generators(monkeypatch, case):
 
 
 def test_pruned_width_accepted_by_the_full_check_raises(monkeypatch):
-    """A verdict pass that accepts every width must be caught by the sampled
-    re-decision of the pruned column counts."""
-    monkeypatch.setattr(search, "_aop_holds_widths",
-                        lambda cols, rows, order: [True] * len(cols))
+    """A spot-check verdict pass that accepts every width past the period
+    m = 4 must be caught by the sampled re-decision of the pruned column
+    counts (class verdicts never reach that pass)."""
+    real = search._aop_holds_widths
+    monkeypatch.setattr(search, "_aop_holds_widths", lambda cols, rows, order:
+                        real(cols[:4], rows, order) + [True] * (len(cols) - 4))
     with pytest.raises(AssertionError, match="full check accepted pruned combination"):
         run_search(FLOORED_SPOT)
 
@@ -1138,10 +1144,47 @@ def test_dropped_class_verdict_raises(monkeypatch, spec):
     lower the tallies.  The first sample of each tile decides every (R, C)
     on its direct columns and must find exactly its class's verdicts, so
     the sweep refuses them."""
-    real = search._tile_verdicts
-    monkeypatch.setattr(search, "_tile_verdicts", lambda *args: real(*args)[:-1])
+    real = search._VerdictTables.verdicts
+    monkeypatch.setattr(search._VerdictTables, "verdicts",
+                        lambda *args: real(*args)[:-1])
     with pytest.raises(AssertionError, match=r"full check accepted \(\d+, \d+\)"):
         run_search(spec)
+
+
+def test_tail_count_off_by_one_raises(monkeypatch):
+    """The tail list and its closed-form count must agree before a sweep
+    runs a block."""
+    real = search._tail_count
+    monkeypatch.setattr(search, "_tail_count", lambda spec: real(spec) + 1)
+    with pytest.raises(AssertionError, match="9 tails enumerated, 10 counted"):
+        run_search(SearchSpec(family="poly", n=3, deg_x=1, deg_y=1))
+
+
+def test_recorded_hit_failing_the_public_check_raises(monkeypatch):
+    """Every candidate of a 1 x 1 range is a hit, so sample 0 records one,
+    and a public check that rejects it stops the sweep."""
+    monkeypatch.setattr(search, "check_aop", lambda array: AopVerdict(
+        False, "condition-1", (0, 1, 0), array.cols))
+    with pytest.raises(AssertionError,
+                       match=r"recorded hit \(1, 1\) fails the public check "
+                             r"for vector \[0, 0, 0, 0\]"):
+        run_search(SearchSpec(family="poly", n=2, deg_x=1, deg_y=1))
+
+
+def test_flipped_funnel_weight_raises(monkeypatch):
+    """A packed pair table with the weight of (1, 1) negated passes
+    sequences that the direct quaternion check rejects."""
+    real = search._packed_weight_tables
+
+    def flipped(length):
+        tables = real(length)
+        tables["right"][0] = -tables["right"][0]
+        return tables
+
+    monkeypatch.setattr(search, "_packed_weight_tables", flipped)
+    with pytest.raises(AssertionError, match=r"packed-weight funnel finds "
+                                             r"\('1', '1', '1', '-1'\) perfect under"):
+        run_search(SearchSpec(family="raw-quaternion", length=4))
 
 
 def head_tile_group(spec):
@@ -1371,7 +1414,8 @@ def test_cut_rows_fail_condition_2_for_drawn_column_tuples(case):
 
 
 def uncut_tile_verdicts(cols, period, order, r_range, c_range):
-    """Reference: `_tile_verdicts` with a verdict pass at every row count."""
+    """Reference: one `_aop_holds_widths` pass per row count over the first
+    max C columns, extended periodically to R rows."""
     out = []
     for R in range(r_range[0], r_range[1] + 1):
         reps = -(-R // period)
@@ -1409,9 +1453,85 @@ def test_cut_tile_verdicts_match_an_uncut_pass(case):
     period, order, key = case
     cols = search._tile_columns(key, period)
     ranges = ((1, 4 * period), (1, period))
-    assert _tile_verdicts(cols, period, order, *ranges) == uncut_tile_verdicts(
-        cols, period, order, *ranges
+    assert search._VerdictTables(period, order, *ranges).verdicts(cols) == (
+        uncut_tile_verdicts(cols, period, order, *ranges)
     )
+
+
+@st.composite
+def tiles_over_a_column_pool(draw):
+    """At an order 2-12 and a period 1-6: a few tiles drawn from one small
+    pool of columns, so that they share column pairs and prefixes, plus,
+    when the period divides the order, a Frank tile with its columns
+    permuted and phased (it has the AOP at R = C = period); and row and
+    column ranges, possibly empty, with R up to 4 periods."""
+    order = draw(st.integers(2, 12))
+    period = draw(st.integers(1, 6))
+    column = st.tuples(*[st.integers(0, order - 1)] * period)
+    pool = draw(st.lists(column, min_size=1, max_size=4, unique=True))
+    tiles = draw(st.lists(st.lists(st.sampled_from(pool), min_size=period,
+                                   max_size=period), min_size=1, max_size=6))
+    if order % period == 0:
+        step = order // period
+        frank = [tuple(i * j * step % order for i in range(period)) for j in range(period)]
+        phases = draw(st.lists(st.integers(0, order - 1), min_size=period,
+                               max_size=period))
+        tiles.append([tuple((e + p) % order for e in col)
+                      for col, p in zip(draw(st.permutations(frank)), phases)])
+    r_lo = draw(st.integers(1, 2 * period))
+    c_lo = draw(st.integers(1, period))
+    ranges = ((r_lo, draw(st.integers(r_lo - 1, 4 * period))),
+              (c_lo, draw(st.integers(c_lo - 1, period))))
+    return order, period, tiles, ranges
+
+
+@given(tiles_over_a_column_pool())
+@settings(max_examples=400, deadline=None)
+def test_verdict_tables_match_an_uncut_reference(case):
+    """The class-verdict kernel against `_aop_holds_widths` at every row
+    count up to 4 periods, tile after tile on one set of tables."""
+    order, period, tiles, ranges = case
+    tables = search._VerdictTables(period, order, *ranges)
+    for cols in tiles:
+        assert tables.verdicts(cols) == uncut_tile_verdicts(cols, period, order, *ranges)
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(family="poly", n=3, deg_x=2, deg_y=1, r_range=(1, 9), c_range=(1, 9)),
+    SearchSpec(family="floored", n=2, k=2, deg_x=1, deg_y=1, r_range=(1, 8),
+               c_range=(1, 8)),
+], ids=["poly", "floored"])
+def test_class_verdicts_do_not_run_the_spot_check_kernel(monkeypatch, spec):
+    """The spot check's direct pass cross-checks the class verdicts only
+    while they come from another kernel: with `_aop_holds_widths` made to
+    accept everything, every tile's class verdicts stay as they were."""
+    m = spec.coeff_modulus
+    divisor = spec.n if spec.family == "floored" else 1
+    vectors = itertools.product(range(m), repeat=spec.vector_width)
+    tiles = search._row_tiles(vectors, search._monomial_rows(spec), slice(None), m)
+    flats = [[v // divisor for v in tile] for tile in tiles]
+
+    def all_verdicts():
+        memo = search._SweepMemo(spec, search._tail_vectors(spec))
+        return [search._class_verdicts(spec, memo, flat) for flat in flats]
+
+    want = all_verdicts()
+    assert any(C > 1 for verdicts in want for _, C in verdicts)
+    monkeypatch.setattr(search, "_aop_holds_widths",
+                        lambda cols, rows, order: [True] * len(cols))
+    assert all_verdicts() == want
+
+
+def test_pair_table_calling_every_pair_orthogonal_raises(monkeypatch):
+    """Class verdicts from a pair table that finds every column pair
+    orthogonal at every R accept cells that fail condition 1; the first
+    sample of such a tile re-decides them on its direct columns."""
+    monkeypatch.setattr(search, "_pair_mask", lambda u, v, r_values, order:
+                        sum(1 << R for R in r_values))
+    spec = SearchSpec(family="poly", n=3, deg_x=2, deg_y=2, r_range=(1, 9),
+                      c_range=(1, 9))
+    with pytest.raises(AssertionError, match=r"full check rejected \(\d+, \d+\)"):
+        run_search(spec)
 
 
 # sha256 of each canonical report as written before head tiles shared rows
