@@ -19,7 +19,6 @@ projection peak equal to the array peak R*C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Optional
 
 from .cyclotomic import CyclotomicInt, counts_is_zero
@@ -132,35 +131,6 @@ def check_aop(array: PhaseArray) -> AopVerdict:
     if not verdict.holds:
         return verdict
     return check_condition_2(array)
-
-
-def _aop_holds_widths(cols: list[tuple[int, ...]], rows: int, order: int) -> list[bool]:
-    """Verdict-only fast path shared with the search engine: entry C - 1 is
-    whether the first C columns have the AOP, for every C = 1..len(cols).
-
-    One upward scan over C.  Condition 1 at C is condition 1 at C - 1 plus
-    the pairs (j, C - 1) at every shift, so once it fails it fails for every
-    larger C.  Condition 2 at C tests, shift by shift up to the first
-    nonzero one, the running sum of the first C column autocorrelations; a
-    shift's sum takes in the columns added since it was last tested.
-    """
-    verdicts = [False] * len(cols)
-    sums = [[0] * order for _ in range(rows)]  # sums[tau] of cols[:summed[tau]]
-    summed = [0] * rows
-    for c, v in enumerate(cols):
-        for u in cols[:c]:
-            for tau in range(rows):
-                if not counts_is_zero(diff_counts(((u, v, tau),), order), order):
-                    return verdicts
-        for tau in range(1, rows):
-            new = diff_counts([(u, u, tau) for u in cols[summed[tau] : c + 1]], order)
-            sums[tau] = list(map(add, sums[tau], new))
-            summed[tau] = c + 1
-            if not counts_is_zero(sums[tau], order):
-                break
-        else:
-            verdicts[c] = True
-    return verdicts
 
 
 # The three perfection predicates zero-test their off-peak shifts in order

@@ -87,9 +87,8 @@ class ConcordanceAudit:
         return self.checked, self.disagreements
 
     def record(self, exact_zero: bool, coeffs, order: int) -> None:
-        # the value of `counts_to_complex`: its zero terms add nothing
         mass = sum(map(abs, coeffs))
-        value = sum(map(mul, coeffs, root_table(order)), 0j)
+        value = counts_to_complex(coeffs, order)
         float_zero = abs(value) < FLOAT_ZERO_TOLERANCE * max(mass, 1)
         self.checked += 1
         if float_zero != exact_zero:
@@ -254,8 +253,9 @@ def counts_is_zero(coeffs, order: int) -> bool:
 
 
 def counts_to_complex(coeffs, order: int) -> complex:
-    roots = root_table(order)
-    return sum((coeffs[e] * roots[e] for e in range(order) if coeffs[e]), 0j)
+    # zero terms add +-0 to a sum that starts at +0j and never reaches -0.0,
+    # so they leave it bit for bit as if they had been skipped
+    return sum(map(mul, coeffs, root_table(order)), 0j)
 
 
 @dataclass(frozen=True)

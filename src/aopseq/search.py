@@ -111,10 +111,10 @@ of the composed tile at every cell, the one tile comparison.  The first
 sample of each distinct tile per sweep and process runs one verdict pass per
 R in range over the first max C direct columns; the (R, C) that hold must be
 the class's verdicts exactly, which re-decides every pruned (R, C), C > m or
-R >= 2m.  That pass runs `_aop_holds_widths`, which class verdicts never
-run, so it re-decides each sampled tile's class verdicts by a second
-kernel.  Every sample counts its spot-check units, and each recorded hit's
-R x C block passes the public check.
+R >= 2m.  That pass runs the public check's condition scanners, which
+class verdicts never run, so it re-decides each sampled tile's class
+verdicts by the reference kernel.  Every sample counts its spot-check
+units, and each recorded hit's R x C block passes the public check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -168,7 +168,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .aop import _aop_holds_widths, check_aop, is_perfect_sequence
+from .aop import _condition_1_witness, _condition_2_witness, check_aop, is_perfect_sequence
 from .correlation import diff_counts
 from .cyclotomic import audit, counts_is_zero
 from .quaternion import (
@@ -596,15 +596,19 @@ def _verdict_pass(
     columns: list[tuple[int, ...]], r_values: range, c_values: range, order: int
 ) -> list[tuple[int, int]]:
     """Every (R, C) in r_values x c_values, R-major, at which the first C
-    `columns` cut to R rows have the AOP: one verdict pass per R over the
-    first max C columns."""
+    `columns` cut to R rows have the AOP, by the public check's scanners:
+    per R, C rises until condition 1 fails, deciding condition 2 at each."""
     out = []
     if not c_values:
         return out
-    columns = columns[: c_values[-1]]
     for R in r_values:
-        holds = _aop_holds_widths([col[:R] for col in columns], R, order)
-        out.extend((R, C) for C in c_values if holds[C - 1])
+        cut = [col[:R] for col in columns[: c_values[-1]]]
+        for C, v in enumerate(cut, 1):
+            # condition 1 at C is condition 1 at C - 1 plus the pairs (j, C - 1)
+            if any(_condition_1_witness([u, v], R, order) for u in cut[: C - 1]):
+                break
+            if _condition_2_witness(cut[:C], R, order) is None and C in c_values:
+                out.append((R, C))
     return out
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import aopseq.aop
 import aopseq.correlation
 from aopseq.aop import (
-    _aop_holds_widths,
     aop_implies_perfect,
     check_aop,
     check_condition_1,
@@ -31,6 +30,7 @@ from aopseq.correlation import (
 )
 from aopseq.cyclotomic import CyclotomicInt, counts_is_zero
 from aopseq.indexfn import frank_array
+from aopseq.search import _verdict_pass
 from aopseq.seqmodel import PhaseArray, PhaseSequence, column_sum, flatten
 from test_correlation import verify_arrays
 
@@ -249,16 +249,25 @@ def periodic_column_sets(draw):
 # orthogonal at shift 0 and complementary (theta(1) = +-sqrt 3), but not
 # orthogonal at shift 1: only condition 1 past shift 0 rejects width 2
 @example((12, 2, [(0, 1), (5, 0)]))
+# columns 0 and 2 are not orthogonal at shift 1, yet every pair with column
+# 3 is and all four are complementary: only a scan that stops at the first
+# condition-1 failure rejects width 4
+@example((2, 4, [(0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)]))
 def test_widths_pass_matches_check_aop_at_every_width(case):
-    """The search engine's one-pass verdicts for every prefix width C equal
-    the public check of the R x C array of the first C columns."""
+    """The spot check's verdict pass holds at exactly the (R, C) where the
+    public check accepts the first C columns cut to R rows, for every R up
+    to the column length and every C in a range from 1 or from mid-width."""
     order, rows, cols = case
-    expected = [
-        check_aop(PhaseArray(order, rows, width,
-                             tuple(c[i] for i in range(rows) for c in cols[:width]))).holds
-        for width in range(1, len(cols) + 1)
-    ]
-    assert _aop_holds_widths(cols, rows, order) == expected
+    width = len(cols)
+    holds = {
+        (R, C) for R in range(1, rows + 1) for C in range(1, width + 1)
+        if check_aop(PhaseArray(order, R, C,
+                                tuple(c[i] for i in range(R) for c in cols[:C]))).holds
+    }
+    for c_values in (range(1, width + 1), range(width // 2 + 1, width + 1)):
+        r_values = range(1, rows + 1)
+        expected = [(R, C) for R in r_values for C in c_values if (R, C) in holds]
+        assert _verdict_pass(cols, r_values, c_values, order) == expected
 
 
 @st.composite

@@ -13,6 +13,7 @@ from aopseq.cyclotomic import (
     _poly_divmod,
     audit,
     counts_is_zero,
+    counts_to_complex,
     cyclotomic_polynomial,
     reduction_rows,
     root_table,
@@ -191,6 +192,27 @@ def test_complex_embedding_is_homomorphic(nv, data):
     assert cmath.isclose(
         complex(a.conjugate()), complex(a).conjugate(), abs_tol=1e-9
     )
+
+
+sparse_coeff_vecs = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=n, max_size=n),
+    )
+)
+
+
+@given(sparse_coeff_vecs)
+@settings(max_examples=500, deadline=None)
+@example((4, [0, -1, 0, 1]))
+def test_float_view_matches_the_sum_of_nonzero_terms(nv):
+    """`counts_to_complex` adds every term, zero ones too; its repr must be
+    that of the sum over the nonzero terms alone, so float and CSV output
+    bytes stay as they were."""
+    n, av = nv
+    roots = root_table(n)
+    nonzero = sum((av[e] * roots[e] for e in range(n) if av[e]), 0j)
+    assert repr(counts_to_complex(av, n)) == repr(nonzero)
 
 
 def test_order_mismatch_rejected():

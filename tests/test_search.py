@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aopseq.aop import AopVerdict, _aop_holds_widths, check_aop
+from aopseq.aop import AopVerdict, check_aop
 from aopseq.correlation import diff_counts
 from aopseq.cyclotomic import counts_is_zero
 from aopseq.indexfn import (
@@ -29,6 +29,7 @@ from aopseq.search import (
     SearchSpec,
     run_search,
 )
+from aopseq.seqmodel import PhaseArray
 
 
 def test_spec_validation():
@@ -314,7 +315,7 @@ def test_no_verdict_memo_carries_across_sweeps(monkeypatch):
     """Spot-check verdict passes, pair-table fills and prefix-table fills
     all start again in a second sweep of the same spec."""
     calls = []
-    for owner, name in ((search, "_aop_holds_widths"), (search, "_pair_mask"),
+    for owner, name in ((search, "_verdict_pass"), (search, "_pair_mask"),
                         (search._VerdictTables, "_extend")):
         def counting(*args, _real=getattr(owner, name), _name=name):
             calls.append(_name)
@@ -327,7 +328,7 @@ def test_no_verdict_memo_carries_across_sweeps(monkeypatch):
     first_calls = Counter(calls)
     calls.clear()
     second = run_search(spec)
-    assert set(first_calls) == {"_aop_holds_widths", "_pair_mask", "_extend"}
+    assert set(first_calls) == {"_verdict_pass", "_pair_mask", "_extend"}
     assert Counter(calls) == first_calls
     assert second.canonical_json() == first.canonical_json()
 
@@ -1066,9 +1067,13 @@ def test_pruned_width_accepted_by_the_full_check_raises(monkeypatch):
     """A spot-check verdict pass that accepts every width past the period
     m = 4 must be caught by the sampled re-decision of the pruned column
     counts (class verdicts never reach that pass)."""
-    real = search._aop_holds_widths
-    monkeypatch.setattr(search, "_aop_holds_widths", lambda cols, rows, order:
-                        real(cols[:4], rows, order) + [True] * (len(cols) - 4))
+    real = search._verdict_pass
+
+    def accepting(columns, r_values, c_values, order):
+        wide = {(R, C) for R in r_values for C in c_values if C > 4}
+        return sorted(wide.union(real(columns, r_values, c_values, order)))
+
+    monkeypatch.setattr(search, "_verdict_pass", accepting)
     with pytest.raises(AssertionError, match="full check accepted pruned combination"):
         run_search(FLOORED_SPOT)
 
@@ -1082,7 +1087,7 @@ def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
                       r_range=(1, 6), c_range=(1, 6))
     counts = {"samples": 0, "hit_checks": 0, "spot_passes": 0}
     real_spot, real_check = search._spot_check, search.check_aop
-    real_widths = search._aop_holds_widths
+    real_pass = search._verdict_pass
 
     def spot(*args):
         counts["samples"] += 1
@@ -1092,13 +1097,13 @@ def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
         counts["hit_checks"] += 1
         return real_check(array)
 
-    def widths(cols, rows, order):
-        counts["spot_passes"] += len(cols) == 6
-        return real_widths(cols, rows, order)
+    def verdict_pass(columns, r_values, c_values, order):
+        counts["spot_passes"] += len(columns) == 6
+        return real_pass(columns, r_values, c_values, order)
 
     monkeypatch.setattr(search, "_spot_check", spot)
     monkeypatch.setattr(search, "check_aop", check)
-    monkeypatch.setattr(search, "_aop_holds_widths", widths)
+    monkeypatch.setattr(search, "_verdict_pass", verdict_pass)
     report = run_search(spec)
     m = spec.coeff_modulus
     mono = search._monomial_rows(spec)
@@ -1114,7 +1119,7 @@ def test_pruned_widths_re_decided_once_per_sampled_raw_tile(monkeypatch):
     assert counts["samples"] == len(samples) == 41
     assert counts["samples"] + counts["hit_checks"] == 103
     assert len(raw_tiles) < len(samples)
-    assert counts["spot_passes"] == 6 * len(raw_tiles)
+    assert counts["spot_passes"] == len(raw_tiles)
 
 
 def test_cut_row_accepted_by_the_full_check_raises(monkeypatch):
@@ -1122,12 +1127,13 @@ def test_cut_row_accepted_by_the_full_check_raises(monkeypatch):
     still re-decides every R >= 2m on its direct columns.  Class verdict
     passes never run there, so a pass that accepts every width from R = 4
     on leaves the verdicts alone and only that re-decision sees it."""
-    real = search._aop_holds_widths
+    real = search._verdict_pass
 
-    def accepting(cols, rows, order):
-        return [True] * len(cols) if rows >= 4 else real(cols, rows, order)
+    def accepting(columns, r_values, c_values, order):
+        found = real(columns, r_values, c_values, order)
+        return [(R, C) for R in r_values for C in c_values if R >= 4 or (R, C) in found]
 
-    monkeypatch.setattr(search, "_aop_holds_widths", accepting)
+    monkeypatch.setattr(search, "_verdict_pass", accepting)
     spec = SearchSpec(family="poly", n=2, deg_x=2, deg_y=2, r_range=(1, 5),
                       c_range=(1, 2))
     with pytest.raises(AssertionError, match=r"pruned combination \(4, 1\)"):
@@ -1414,14 +1420,15 @@ def test_cut_rows_fail_condition_2_for_drawn_column_tuples(case):
 
 
 def uncut_tile_verdicts(cols, period, order, r_range, c_range):
-    """Reference: one `_aop_holds_widths` pass per row count over the first
-    max C columns, extended periodically to R rows."""
-    out = []
-    for R in range(r_range[0], r_range[1] + 1):
-        reps = -(-R // period)
-        holds = _aop_holds_widths([(c * reps)[:R] for c in cols[:c_range[1]]], R, order)
-        out.extend((R, C) for C in range(c_range[0], c_range[1] + 1) if holds[C - 1])
-    return out
+    """Reference: the public check of every R x C block, R-major, of the
+    tile columns extended periodically to R rows."""
+    return [
+        (R, C)
+        for R in range(r_range[0], r_range[1] + 1)
+        for C in range(c_range[0], c_range[1] + 1)
+        if check_aop(PhaseArray(order, R, C, tuple(
+            cols[j][i % period] for i in range(R) for j in range(C)))).holds
+    ]
 
 
 @st.composite
@@ -1488,8 +1495,8 @@ def tiles_over_a_column_pool(draw):
 @given(tiles_over_a_column_pool())
 @settings(max_examples=400, deadline=None)
 def test_verdict_tables_match_an_uncut_reference(case):
-    """The class-verdict kernel against `_aop_holds_widths` at every row
-    count up to 4 periods, tile after tile on one set of tables."""
+    """The class-verdict kernel against the public check at every row count
+    up to 4 periods, tile after tile on one set of tables."""
     order, period, tiles, ranges = case
     tables = search._VerdictTables(period, order, *ranges)
     for cols in tiles:
@@ -1503,8 +1510,9 @@ def test_verdict_tables_match_an_uncut_reference(case):
 ], ids=["poly", "floored"])
 def test_class_verdicts_do_not_run_the_spot_check_kernel(monkeypatch, spec):
     """The spot check's direct pass cross-checks the class verdicts only
-    while they come from another kernel: with `_aop_holds_widths` made to
-    accept everything, every tile's class verdicts stay as they were."""
+    while they come from another kernel: with the public check's condition
+    scanners made to report no violation, every tile's class verdicts stay
+    as they were."""
     m = spec.coeff_modulus
     divisor = spec.n if spec.family == "floored" else 1
     vectors = itertools.product(range(m), repeat=spec.vector_width)
@@ -1517,8 +1525,8 @@ def test_class_verdicts_do_not_run_the_spot_check_kernel(monkeypatch, spec):
 
     want = all_verdicts()
     assert any(C > 1 for verdicts in want for _, C in verdicts)
-    monkeypatch.setattr(search, "_aop_holds_widths",
-                        lambda cols, rows, order: [True] * len(cols))
+    monkeypatch.setattr(search, "_condition_1_witness", lambda cols, rows, order: None)
+    monkeypatch.setattr(search, "_condition_2_witness", lambda cols, rows, order: None)
     assert all_verdicts() == want
 
 
