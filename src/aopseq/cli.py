@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import TYPE_CHECKING, Optional, TextIO, Union
 
 from . import __version__
 from .aop import (
@@ -27,10 +27,6 @@ from .aop import (
 )
 from .correlation import autocorrelate, autocorrelate_2d
 from .cyclotomic import CyclotomicInt
-from .indexfn import frank_array
-from .quaternion import QuaternionSequence, quat_is_perfect
-from .scatter import BiQuadraticSpec, collapse_check, trace_crosscorrelation, write_trace_csv
-from .search import BudgetExceeded, SearchSpec, run_search
 from .seqmodel import (
     PhaseArray,
     PhaseSequence,
@@ -40,6 +36,14 @@ from .seqmodel import (
     row_sum,
     unflatten,
 )
+
+# construct, search, scatter and quaternion files import the rest of the
+# package when they run, so verifying a phase or projection file loads
+# neither the sweep engine nor the pool machinery
+if TYPE_CHECKING:
+    from .quaternion import QuaternionSequence
+
+    FileObject = Union[PhaseSequence, PhaseArray, QuaternionSequence, ProjectionSequence]
 
 __all__ = [
     "CliInputError",
@@ -52,8 +56,6 @@ EXIT_OK = 0
 EXIT_PREDICATE_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INVARIANT_VIOLATION = 3
-
-FileObject = Union[PhaseSequence, PhaseArray, QuaternionSequence, ProjectionSequence]
 
 
 class CliInputError(ValueError):
@@ -123,12 +125,6 @@ def write_object(obj: FileObject, stream: TextIO, command: str, parameters: dict
             f"cols: {obj.cols}",
             "exponents: " + ",".join(str(e) for e in obj.exponents),
         ]
-    elif isinstance(obj, QuaternionSequence):
-        lines = [
-            "format: quaternion-sequence/1",
-            f"length: {obj.length}",
-            "symbols: " + ",".join(obj.symbols()),
-        ]
     elif isinstance(obj, ProjectionSequence):
         lines = [
             "format: projection/1",
@@ -138,7 +134,15 @@ def write_object(obj: FileObject, stream: TextIO, command: str, parameters: dict
             + ";".join(",".join(str(c) for c in v.coeffs) for v in obj.values),
         ]
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        from .quaternion import QuaternionSequence
+
+        if not isinstance(obj, QuaternionSequence):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        lines = [
+            "format: quaternion-sequence/1",
+            f"length: {obj.length}",
+            "symbols: " + ",".join(obj.symbols()),
+        ]
     lines += _provenance_lines(command, parameters)
     stream.write("\n".join(lines) + "\n")
 
@@ -172,27 +176,24 @@ def _order_field(fields: dict[str, str]) -> int:
     return order
 
 
-def _entries(obj: FileObject) -> int:
-    if isinstance(obj, PhaseArray):
-        return obj.rows * obj.cols
-    if isinstance(obj, QuaternionSequence):
-        return obj.length
-    if isinstance(obj, ProjectionSequence):
-        return max(len(obj), sum(abs(c) for v in obj.values for c in v.coeffs))
-    return len(obj)
+def _refuse_past_cap(path: Union[str, Path], entries: int) -> None:
+    if entries > MAX_ENTRIES:
+        raise CliInputError(f"{path} holds {entries} entries, past the cap of {MAX_ENTRIES}")
+
+
+def _items(path: Union[str, Path], fields: dict[str, str], key: str, declared: int,
+           sep: str = ",") -> str:
+    """The unconverted `key` list, once neither its `declared` length (or
+    rows x cols) nor its item count is past MAX_ENTRIES, so an oversized
+    file is refused at the cost of counting its separators."""
+    text = _field(fields, key)
+    _refuse_past_cap(path, max(declared, text.count(sep) + 1 if text else 0))
+    return text
 
 
 def read_object(path: Union[str, Path]) -> FileObject:
     """Parse one file; refuse it when it declares an order above MAX_ORDER or
     holds more than MAX_ENTRIES entries."""
-    obj = _parse_object(path)
-    entries = _entries(obj)
-    if entries > MAX_ENTRIES:
-        raise CliInputError(f"{path} holds {entries} entries, past the cap of {MAX_ENTRIES}")
-    return obj
-
-
-def _parse_object(path: Union[str, Path]) -> FileObject:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -201,37 +202,41 @@ def _parse_object(path: Union[str, Path]) -> FileObject:
     tag = _field(fields, "format")
     try:
         if tag == "phase-sequence/1":
+            order = _order_field(fields)
+            length = int(_field(fields, "length"))
             seq = PhaseSequence(
-                _order_field(fields),
-                tuple(_int_list(_field(fields, "exponents"))),
+                order, tuple(_int_list(_items(path, fields, "exponents", length)))
             )
-            if len(seq) != int(_field(fields, "length")):
+            if len(seq) != length:
                 raise CliInputError("length field disagrees with the exponent list")
             return seq
         if tag == "phase-array/1":
-            arr = PhaseArray(
-                _order_field(fields),
-                int(_field(fields, "rows")),
-                int(_field(fields, "cols")),
-                tuple(_int_list(_field(fields, "exponents"))),
-            )
-            return arr
+            order = _order_field(fields)
+            rows, cols = int(_field(fields, "rows")), int(_field(fields, "cols"))
+            exponents = _items(path, fields, "exponents", rows * cols)
+            return PhaseArray(order, rows, cols, tuple(_int_list(exponents)))
         if tag == "quaternion-sequence/1":
+            from .quaternion import QuaternionSequence
+
+            length = int(_field(fields, "length"))
             seq = QuaternionSequence.from_symbols(
-                _field(fields, "symbols").split(",")
+                _items(path, fields, "symbols", length).split(",")
             )
-            if seq.length != int(_field(fields, "length")):
+            if seq.length != length:
                 raise CliInputError("length field disagrees with the symbol list")
             return seq
         if tag == "projection/1":
             order = _order_field(fields)
+            length = int(_field(fields, "length"))
             values = tuple(
                 CyclotomicInt(order, tuple(int(c) for c in chunk.split(",")))
-                for chunk in _field(fields, "values").split(";")
+                for chunk in _items(path, fields, "values", length, ";").split(";")
             )
             proj = ProjectionSequence(order, values)
-            if len(proj) != int(_field(fields, "length")):
+            if len(proj) != length:
                 raise CliInputError("length field disagrees with the value list")
+            # a value's coefficients count the roots of unity it sums
+            _refuse_past_cap(path, sum(abs(c) for v in values for c in v.coeffs))
             return proj
     except CliInputError:
         raise
@@ -241,6 +246,8 @@ def _parse_object(path: Union[str, Path]) -> FileObject:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from .indexfn import frank_array
+
     if args.family != "frank":
         raise CliInputError(f"unknown family {args.family!r}")
     if args.n < 1:
@@ -324,16 +331,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         holds &= verdict.holds and perfect
         lines += _aop_lines(verdict)
         lines.append(f"perfect-array: {str(perfect).lower()}")
-    elif isinstance(obj, QuaternionSequence):
+    elif isinstance(obj, ProjectionSequence):
+        perfect = is_perfect_projection(obj)
+        holds &= perfect
+        lines.append(f"perfect-projection: {str(perfect).lower()}")
+    else:
+        from .quaternion import quat_is_perfect
+
         wanted = ("right", "left") if args.convention == "both" else (args.convention,)
         for conv in wanted:
             ok = quat_is_perfect(obj, conv)
             holds &= ok
             lines.append(f"perfect-{conv}: {str(ok).lower()}")
-    else:
-        perfect = is_perfect_projection(obj)
-        holds &= perfect
-        lines.append(f"perfect-projection: {str(perfect).lower()}")
     if args.mode == "float":
         lines += _float_advisory(obj)
     lines.append(f"verdict: {'holds' if holds else 'fails'}")
@@ -345,6 +354,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import BudgetExceeded, SearchSpec, run_search
+
     if args.jobs > MAX_JOBS:
         raise CliInputError(f"--jobs {args.jobs} exceeds the cap of {MAX_JOBS}")
     try:
@@ -368,7 +379,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             progress_every=args.progress_every,
         )
         report = run_search(spec)
-    except ValueError as exc:
+    except (BudgetExceeded, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
     text = report.canonical_json()
     if args.out:
@@ -402,6 +413,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
+    from .scatter import BiQuadraticSpec, collapse_check, trace_crosscorrelation, write_trace_csv
+
     tables = [tuple(_int_list(t)) for t in (args.a, args.b, args.cc)]
     try:
         spec = BiQuadraticSpec(args.n, args.k, *tables, args.rows)
@@ -524,7 +537,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, BudgetExceeded) as exc:
+    except CliInputError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
     except AssertionError as exc:

@@ -114,7 +114,9 @@ the class's verdicts exactly, which re-decides every pruned (R, C), C > m or
 R >= 2m.  That pass runs the public check's condition scanners, which
 class verdicts never run, so it re-decides each sampled tile's class
 verdicts by the reference kernel.  Every sample counts its spot-check
-units, and each recorded hit's R x C block passes the public check.
+units, and the top-left R x C block of each (R, C) in its class's verdicts
+must pass the public check, whether or not that hit is recorded; a reported
+hit of an unsampled candidate is not re-checked by the public check.
 
 Raw-quaternion sweeps run over left-unit orbits.  For a unit u, left
 multiplication keeps a sequence perfect under both conventions:
@@ -164,7 +166,6 @@ import math
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -719,10 +720,12 @@ def _spot_check(
     of each distinct tile per sweep and process runs one verdict pass per R
     over its first max C direct columns, which must give exactly the class's
     verdicts: that re-decides every pruned (R, C), C > m or R >= 2m, and
-    checks the class's verdicts on the tile's own columns.  Every recorded
-    hit's top-left R x C block must pass the public check.  Returns the
-    verification units (tile confirmation plus each column prune the tile
-    has re-examined), the same for every sample; raises on any mismatch.
+    checks the class's verdicts on the tile's own columns.  For every (R, C)
+    in `verdicts`, recorded as a hit or not, the sample's top-left R x C
+    block must pass the public check; hits of unsampled candidates are not
+    re-checked there.  Returns the verification units (tile confirmation
+    plus each column prune the tile has re-examined), the same for every
+    sample; raises on any mismatch.
     """
     m = spec.coeff_modulus
     order = spec.alphabet_order
@@ -1195,6 +1198,9 @@ def _block_results(
         for b in blocks:
             yield _run_block(spec, b, memo)
         return
+    # a serial sweep never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     # under fork the pool starts all its processes at the first submit
     with ProcessPoolExecutor(max_workers=min(spec.workers, len(blocks)),
                              initializer=_start_worker, initargs=(spec, vectors)) as pool:

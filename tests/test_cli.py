@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aopseq import cli, search
+from aopseq import cli, indexfn, search
 from aopseq.cyclotomic import ConcordanceAudit
 from aopseq.indexfn import frank_array
 from aopseq.quaternion import QuaternionSequence
@@ -278,7 +278,7 @@ def test_search_jobs_past_the_cap_exit_two_before_the_sweep(monkeypatch, capsys)
     def unreachable(spec):
         raise AssertionError("sweep started")
 
-    monkeypatch.setattr(cli, "run_search", unreachable)
+    monkeypatch.setattr(search, "run_search", unreachable)
     argv = ["search", "--family", "poly", "--n", "2", "--jobs"]
     assert cli.main(argv + [str(cli.MAX_JOBS + 1)]) == cli.EXIT_INPUT_ERROR
     assert f"exceeds the cap of {cli.MAX_JOBS}" in capsys.readouterr().err
@@ -302,7 +302,7 @@ def test_search_cli_bound_violation_exits_three(tmp_path, monkeypatch, capsys):
     )
     real.bound_violated = True
     real.max_hit_length = 99
-    monkeypatch.setattr(cli, "run_search", lambda spec: real)
+    monkeypatch.setattr(search, "run_search", lambda spec: real)
     out = tmp_path / "r.json"
     code = cli.main(
         ["search", "--family", "poly", "--n", "2", "--out", str(out)]
@@ -314,7 +314,7 @@ def test_search_cli_bound_violation_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_construct_self_validation_exits_three(monkeypatch, capsys):
     broken = PhaseArray(2, 2, 2, (0, 0, 0, 0))
-    monkeypatch.setattr(cli, "frank_array", lambda n: broken)
+    monkeypatch.setattr(indexfn, "frank_array", lambda n: broken)
     assert cli.main(["construct", "--family", "frank", "--n", "2"]) == 3
     assert "self-validation" in capsys.readouterr().err
 
@@ -483,6 +483,33 @@ def test_files_past_the_entry_cap_exit_two_quickly(tmp_path, capsys, fmt):
     assert f"{cli.MAX_ENTRIES + 1} entries, past the cap of {cli.MAX_ENTRIES}" in err
     path.write_text(_file_with_entries(fmt, cli.MAX_ENTRIES))
     cli.read_object(path)
+
+
+@pytest.mark.parametrize("fmt, entries", [
+    ("sequence", cli.MAX_ENTRIES + 1), ("array", cli.MAX_ENTRIES + 1),
+    ("quaternion", cli.MAX_ENTRIES + 1), ("projection", cli.MAX_ENTRIES + 1),
+    ("declared", 4096 * 4096),
+])
+def test_files_past_the_entry_cap_are_refused_before_any_item_is_converted(
+        tmp_path, capsys, monkeypatch, fmt, entries):
+    """The cap is checked on the declared length (or rows x cols) and on the
+    item count, so refusing a large file costs a count of its separators,
+    not a parse of every item."""
+    def unreachable(*args):
+        raise AssertionError("an item was converted")
+
+    monkeypatch.setattr(cli, "_int_list", unreachable)
+    monkeypatch.setattr(cli, "CyclotomicInt", unreachable)
+    monkeypatch.setattr(QuaternionSequence, "from_symbols", unreachable)
+    path = tmp_path / "big.txt"
+    path.write_text(
+        "format: phase-array/1\norder: 64\nrows: 4096\ncols: 4096\nexponents: 0\n"
+        if fmt == "declared" else _file_with_entries(fmt, entries)
+    )
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"{path} holds {entries} entries, past the cap of {cli.MAX_ENTRIES}\n"
+    )
 
 
 def test_construct_past_the_entry_cap_exits_two_quickly(tmp_path, capsys):

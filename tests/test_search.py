@@ -1,15 +1,12 @@
 """Sweep engine: brute-force agreement, prune soundness, determinism across
 worker counts, budget refusal, filters, and the raw families."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -872,7 +869,7 @@ def test_pool_starts_at_most_one_process_per_block(monkeypatch, workers):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search, "_worker_state", ())
     spec = SearchSpec(family="floored", n=2, k=2, deg_x=3, deg_y=1, r_range=(2, 3),
                       c_range=(2, 3), workers=workers)
@@ -898,24 +895,30 @@ def test_table_entries_count_the_built_tables():
         run_search(replace(big, n=7, r_range=(1, 49), c_range=(1, 49)))
 
 
-def test_index_sweeps_do_not_import_numpy():
+def test_index_sweeps_do_not_import_numpy(loaded_modules):
     """Importing numpy costs more than a small sweep; the poly and floored
     paths stay pure Python."""
-    code = (
-        "import sys\n"
+    loaded = loaded_modules(
         "from aopseq import SearchSpec, run_search\n"
         "run_search(SearchSpec(family='poly', n=3, deg_x=1, deg_y=1,"
         " r_range=(1, 3), c_range=(1, 3)))\n"
         "run_search(SearchSpec(family='floored', n=2, k=2, deg_x=1, deg_y=1,"
         " r_range=(1, 4), c_range=(1, 4), restriction='collapse'))\n"
-        "print('numpy' in sys.modules)\n"
     )
-    src = str(Path(search.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert "numpy" not in loaded
+
+
+def test_serial_sweeps_load_no_pool_scatter_or_indexfn(loaded_modules):
+    """The pool machinery is imported when a pool starts, and a sweep never
+    needs the scatter tracer or the index-function generators."""
+    loaded = loaded_modules(
+        "from aopseq import SearchSpec, run_search\n"
+        "run_search(SearchSpec(family='poly', n=3, deg_x=1, deg_y=1,"
+        " r_range=(1, 3), c_range=(1, 3)))\n"
+    )
+    assert "aopseq.search" in loaded
+    assert not {m for m in loaded if m.startswith("concurrent")}
+    assert not loaded & {"aopseq.scatter", "aopseq.indexfn"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
